@@ -5,7 +5,8 @@ Two workload shapes at 1000 and 5000 nodes:
 * **100% movers** -- a recorded pedestrian trace (every node drifts every
   2-second window, ~5% of edges flip): the full window evaluation
   (topology + DAG repair + both election configurations) through the
-  delta pipeline vs the scratch rebuild oracle.  The acceptance target
+  delta pipeline vs the scratch rebuild pipeline with the per-node
+  election oracle of ``tests/oracles/election.py``.  The acceptance target
   rides the 5000-node pair: delta >= 3x faster per steady-state window.
 * **1% movers** -- a sparse teleport workload (the churn-adjacent shape):
   topology + exact-density maintenance only, delta vs rebuild.
@@ -23,7 +24,6 @@ from repro.experiments.mobility import (
     CONFIGURATIONS,
     SPEED_REGIMES,
     _DeltaTraceEvaluator,
-    _RebuildTraceEvaluator,
     speed_range_in_sides,
 )
 from repro.graph.dynamic import DynamicTopology
@@ -31,6 +31,7 @@ from repro.metrics.stability import RetentionSeries
 from repro.mobility.random_direction import RandomDirectionModel
 from repro.mobility.trace import topology_at
 from repro.util.rng import as_rng
+from tests.oracles.election import RebuildTraceEvaluator
 
 SCALES = (1000, 5000)
 RADIUS = 0.05
@@ -85,7 +86,7 @@ def _steady_windows(frames, evaluator_cls, rng_seed=99):
 @pytest.mark.parametrize("count", SCALES)
 def test_bench_mobility_windows_rebuild(benchmark, traces, count):
     """The scratch per-window pipeline (speedup baseline)."""
-    run = _steady_windows(traces[count], _RebuildTraceEvaluator)
+    run = _steady_windows(traces[count], RebuildTraceEvaluator)
     outcome = benchmark.pedantic(run, rounds=1, iterations=1)
     assert set(outcome) == set(CONFIGURATIONS)
 
@@ -97,7 +98,7 @@ def test_bench_mobility_windows_delta(benchmark, traces, count):
     outcome = benchmark.pedantic(run, rounds=1, iterations=1)
     # Steady-state continuation stays bit-identical to a rebuild replay
     # of the same remaining windows seeded with the same first window.
-    reference = _steady_windows(traces[count], _RebuildTraceEvaluator)()
+    reference = _steady_windows(traces[count], RebuildTraceEvaluator)()
     assert outcome == reference
 
 

@@ -15,14 +15,15 @@ records two serving-quality keys in ``extra_info``:
 ``flat_every=0`` disables stretch sampling so the measurement is the
 serving path itself, not the flat-BFS oracle.
 
-The parametrized benches serve in the default batched mode
-(``route_batch`` groups each chunk by head pair and runs one dense
-per-cluster sweep per group).  The ``*_floor_batch`` /
-``*_reference`` pair serves one identical 20k-request Zipf stream at
-5000 nodes through a fresh router in each mode -- the regime every
-workload-experiment run is in (a new router per shape and per mobility
-window) -- and the regression gate holds batched to >= 3x the
-per-request loop on exactly that pair (``SPEEDUP_FLOORS``).  The 10^5
+The parametrized benches serve through ``route_batch`` (it groups each
+chunk by head pair and runs one dense per-cluster sweep per group).
+The ``*_floor[batch]`` / ``*_floor[request]`` pair serves one identical
+20k-request Zipf stream at 5000 nodes through a fresh router, batched
+and through the per-request oracle loop of ``tests/oracles/routing.py``
+-- the regime every workload-experiment run is in (a new router per
+shape and per mobility window) -- and the regression gate holds batched
+to >= 3x the per-request loop on exactly that pair
+(``SPEEDUP_FLOORS``).  The 10^5
 benches are deliberately not the floor pair: over a long enough stream
 on a fixed graph both modes converge to warm-cache tuple assembly, so
 the steady-state ratio understates what batching buys a fresh run.
@@ -41,6 +42,7 @@ from repro.graph.generators import uniform_topology
 from repro.hierarchy.hierarchy import build_hierarchy
 from repro.workload.generators import ZipfPopularity, poisson_requests
 from repro.workload.serve import serve_workload
+from tests.oracles.routing import serve_workload_reference
 
 SCALES = (1000, 5000)
 RADIUS = 0.05
@@ -73,8 +75,8 @@ def _serve(hierarchy, kind, mode="batch", count=REQUESTS):
     requests = poisson_requests(nodes, count,
                                 rng=np.random.default_rng(7),
                                 popularity=popularity)
-    return serve_workload(hierarchy, requests, proxy, flat_every=0,
-                          mode=mode)
+    serve = serve_workload if mode == "batch" else serve_workload_reference
+    return serve(hierarchy, requests, proxy, flat_every=0)
 
 
 @pytest.mark.parametrize("count,kind", [
@@ -98,8 +100,8 @@ def test_bench_workload_serve(benchmark, deployments, count, kind):
 @pytest.mark.parametrize("mode", ["batch", "request"])
 def test_bench_workload_serve_floor(benchmark, deployments, mode):
     """The speedup-floor pair: one identical 20k-request Zipf stream at
-    5000 nodes, served batched and through the per-request reference
-    loop (fresh router each, exactly like a workload-experiment run).
+    5000 nodes, served batched and through the per-request oracle loop
+    (fresh router each, exactly like a workload-experiment run).
     The gate requires batch >= 3x request on this pair."""
     hierarchy = deployments[5000]
     proxy = benchmark.pedantic(

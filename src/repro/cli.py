@@ -103,10 +103,9 @@ def _seed_runner(runner):
 
 
 def _workload_runner(args):
-    """``repro workload``: also forwards ``--metric`` and ``--serving``."""
+    """``repro workload``: also forwards ``--metric``."""
     print(run_workload(args.preset, rng=args.seed, jobs=args.jobs,
                        dynamics=args.dynamics, metric=args.metric,
-                       serving=args.serving,
                        topology=_single_topology(args)))
 
 
@@ -206,11 +205,6 @@ def build_parser():
                         choices=("density", "degree", "lowest_id", "maxmin"),
                         help="workload mode: clustering metric maintained "
                              "under mobility traffic (default density)")
-    parser.add_argument("--serving", choices=("batch", "request"),
-                        default="batch",
-                        help="workload mode: route requests in grouped "
-                             "batches (default) or one at a time; the "
-                             "served stream is identical either way")
     parser.add_argument("--jobs", default=1, type=_jobs_arg,
                         help="worker processes for Monte-Carlo runs "
                              "(default 1; 0 or 'auto' = all cores); "

@@ -1,4 +1,4 @@
-"""Density-driven clustering: metric, orders, head rules, oracle, baselines."""
+"""Density-driven clustering: metric, orders, head rules, election, baselines."""
 
 from repro.clustering.baselines import (
     degree_clustering,

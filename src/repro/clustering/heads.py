@@ -1,8 +1,10 @@
 """Per-node cluster-head choice rules (the ``clusterHead`` functions of §4).
 
 These are the *local* rules a node evaluates over its cached neighborhood
-views; both the centralized oracle and the distributed protocol call into
-this module so the two implementations cannot drift apart.
+views, as the distributed protocol (``repro.protocols.clustering``) runs
+them.  The centralized fixpoint (``repro.clustering.oracle``) evaluates
+the same rules for all nodes at once on ranked arrays; the test suite's
+per-node oracle calls this module, and the tests hold the two equal.
 
 Basic rule (Section 4.2)::
 

@@ -369,6 +369,12 @@ class Coordinator:
                 return
             self._closing = True
             self._cond.notify_all()
+        # close() alone does not wake a thread blocked in accept() on
+        # Linux; shutdown() does, so the accept loop exits at once.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:

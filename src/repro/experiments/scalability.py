@@ -56,10 +56,9 @@ def _strip_positions(topology):
 def _run_one(task):
     """One chunk of sampled pairs; returns the list of their stretches.
 
-    Stretch is computed through a per-chunk :class:`CachedRouter`: its
-    ``route_stretch`` mirrors ``hierarchy.routing.route_stretch`` output
-    for output while reusing sub-CSR legs, overlay trees, and flat BFS
-    answers across the chunk's samples.
+    Stretch is computed through one :class:`CachedRouter` per chunk, so
+    sub-CSR legs, overlay trees, and flat BFS answers are reused across
+    the chunk's samples.
     """
     index, _prefix, hierarchy, count, chunk_rng = task
     nodes = list(hierarchy.physical.topology.graph.nodes)

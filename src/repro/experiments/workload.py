@@ -63,11 +63,7 @@ from repro.workload.generators import (
     poisson_requests,
     ycsb_requests,
 )
-from repro.workload.serve import (
-    SERVING_MODES,
-    RouterStatsCollector,
-    serve_workload,
-)
+from repro.workload.serve import RouterStatsCollector, serve_workload
 
 #: Workload shapes in table order.
 WORKLOAD_KINDS = ("uniform", "zipf", "zipf-hot", "ycsb", "mobility")
@@ -90,14 +86,6 @@ def check_metric(metric):
             f"{tuple(WORKLOAD_METRICS)}")
     return metric
 
-
-def check_serving(serving):
-    """Validate a serving-mode name and return it."""
-    if serving not in SERVING_MODES:
-        raise ConfigurationError(
-            f"unknown serving mode {serving!r}; expected one of "
-            f"{SERVING_MODES}")
-    return serving
 
 #: Requests *per workload shape* by preset name (quick totals 10^5 over
 #: the five shapes -- the CI workload-smoke budget).
@@ -162,7 +150,6 @@ def _build(preset, rng, options):
             "windows": options["mobility_windows"],
             "dynamics": check_dynamics(options.get("dynamics", "delta")),
             "metric": check_metric(options.get("metric", "density")),
-            "serving": check_serving(options.get("serving", "batch")),
             "topology": topology,
         }
         for chunk_rng, chunk_count in zip(spawn_rngs(root, chunks), counts):
@@ -235,8 +222,7 @@ def _run_one(task):
     proxy = _make_collectors(hierarchy)
     requests = _requests_for(kind, nodes, count, chunk_rng)
     return serve_workload(hierarchy, requests, proxy,
-                          flat_every=_flat_every(count),
-                          mode=params["serving"])
+                          flat_every=_flat_every(count))
 
 
 def _run_mobility(params, count, chunk_rng):
@@ -318,8 +304,7 @@ def _run_mobility(params, count, chunk_rng):
             nodes, window_count, rng=chunk_rng,
             popularity=ZipfPopularity(nodes, ZIPF_ALPHA))
         serve_workload(hierarchy, requests, proxy,
-                       flat_every=_flat_every(window_count),
-                       mode=params.get("serving", "batch"))
+                       flat_every=_flat_every(window_count))
         total = proxy if total is None else total.merge(proxy)
     return total
 
@@ -387,7 +372,7 @@ WORKLOAD_SPEC = ExperimentSpec(name="workload", build=_build, run=_run_one,
 def run_workload(preset="quick", rng=None, jobs=1, kinds=None, radius=0.1,
                  requests=None, chunks=CHUNKS,
                  mobility_windows=MOBILITY_WINDOWS, dynamics="delta",
-                 metric="density", serving="batch", topology=None):
+                 metric="density", topology=None):
     """Serve every workload shape; returns a :class:`WorkloadReport`.
 
     ``requests`` overrides the per-shape request budget (default by
@@ -396,8 +381,6 @@ def run_workload(preset="quick", rng=None, jobs=1, kinds=None, radius=0.1,
     deltas vs scratch rebuilds; identical output).  ``metric`` selects
     the clustering the mobility shape maintains (``density`` or one of
     the baseline engines -- ``degree``, ``lowest_id``, ``maxmin``).
-    ``serving`` selects the request loop (``batch``, the default, or
-    the per-request reference ``request``; identical output).
     ``topology`` (a generator spec) replaces the static deployment; the
     mobility shape then drops out of the default kinds (motion needs
     geometry) and requesting it explicitly is an error.  Output is
@@ -415,5 +398,4 @@ def run_workload(preset="quick", rng=None, jobs=1, kinds=None, radius=0.1,
         WORKLOAD_SPEC, preset, rng=rng, jobs=jobs, kinds=kinds,
         radius=radius, requests=_requests_per_kind(preset, requests),
         chunks=chunks, mobility_windows=mobility_windows, dynamics=dynamics,
-        metric=check_metric(metric), serving=check_serving(serving),
-        topology=topology)
+        metric=check_metric(metric), topology=topology)

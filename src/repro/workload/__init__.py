@@ -4,12 +4,11 @@ Request *generators* (:mod:`repro.workload.generators`) produce lazy
 streams of :class:`~repro.workload.generators.Request` events -- Poisson
 arrivals with Zipf destination popularity, trace replay, YCSB-style
 read/write mixes -- so a million-event schedule never materializes in
-RAM.  The *serving* side (:mod:`repro.workload.serve`) routes every
-request through the hierarchy with :class:`~repro.workload.serve.
-CachedRouter` (bit-identical paths to
-:func:`~repro.hierarchy.routing.hierarchical_route`, amortized across
-requests) and feeds the per-request outcomes to a
-:class:`~repro.collectors.base.DataCollector` pipeline.
+RAM.  The *serving* side (:mod:`repro.workload.serve`) routes request
+chunks through the hierarchy with
+:meth:`~repro.hierarchy.routing.CachedRouter.route_batch` (the one
+routing implementation, amortized across requests) and feeds the
+outcomes to a :class:`~repro.collectors.base.DataCollector` pipeline.
 """
 
 from repro.workload.generators import (

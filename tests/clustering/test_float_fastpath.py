@@ -14,8 +14,8 @@ from repro.clustering.density import (
     float_tie_mask,
 )
 from repro.clustering.incremental import IncrementalElection
-from repro.clustering.oracle import compute_clustering
 from repro.graph.graph import Graph
+from tests.oracles.election import compute_clustering_reference
 
 
 class _DictBacked:
@@ -100,8 +100,8 @@ def drive_with_limit(monkeypatch, limit, order="incumbent", fusion=True,
     tie_ids = {node: node for node in graph}
     engine = IncrementalElection(order=order, fusion=fusion)
     fast = engine.update(graph, densities, tie_ids=tie_ids)
-    oracle = compute_clustering(graph, tie_ids=tie_ids, order=order,
-                                fusion=fusion, densities=densities)
+    oracle = compute_clustering_reference(
+        graph, tie_ids=tie_ids, order=order, fusion=fusion, densities=densities)
     assert fast.parents == oracle.parents
     assert fast.heads == oracle.heads
 
@@ -133,8 +133,8 @@ class TestTieRefinement:
         tie_ids = {0: 0, 1: 1, 2: 2, 3: 3}  # float-only order favors node 0
         engine = IncrementalElection(order="basic")
         fast = engine.update(graph, densities, tie_ids=tie_ids)
-        oracle = compute_clustering(graph, tie_ids=tie_ids, order="basic",
-                                    densities=densities)
+        oracle = compute_clustering_reference(
+            graph, tie_ids=tie_ids, order="basic", densities=densities)
         assert fast.parents == oracle.parents
         assert fast.heads == oracle.heads
         refine = engine._refinement(densities)

@@ -1,13 +1,13 @@
-"""IncrementalElection vs the scratch oracle, window by window."""
+"""IncrementalElection vs the per-node oracle, window by window."""
 
 import numpy as np
 import pytest
 
 from repro.clustering.incremental import IncrementalElection
-from repro.clustering.oracle import compute_clustering
 from repro.clustering.order import BasicOrder
 from repro.graph.dynamic import DynamicTopology
 from repro.graph.generators import star_topology, uniform_topology
+from tests.oracles.election import compute_clustering_reference
 
 
 def assert_same_clustering(fast, oracle):
@@ -39,10 +39,10 @@ def drive(seed, order, fusion, windows=6, count=60, radius=0.18,
                              previous=previous_fast,
                              density_changed=density_changed,
                              graph_changed=graph_changed, dag_changed=False)
-        oracle = compute_clustering(dynamic.graph, tie_ids=tie_ids,
-                                    dag_ids=dag_ids, order=order,
-                                    fusion=fusion, previous=previous_oracle,
-                                    densities=dynamic.densities)
+        oracle = compute_clustering_reference(
+            dynamic.graph, tie_ids=tie_ids, dag_ids=dag_ids, order=order,
+            fusion=fusion, previous=previous_oracle,
+            densities=dynamic.densities)
         assert_same_clustering(fast, oracle)
         previous_fast, previous_oracle = fast, oracle
         positions = np.clip(
@@ -109,10 +109,9 @@ def test_untied_incumbent_flips_reuse_previous_clustering():
                            previous=flipped, density_changed=frozenset(),
                            graph_changed=False, dag_changed=False)
     assert second is first
-    oracle = compute_clustering(dynamic.graph, tie_ids=tie_ids,
-                                order="incumbent", fusion=True,
-                                previous=flipped,
-                                densities=dynamic.densities)
+    oracle = compute_clustering_reference(
+        dynamic.graph, tie_ids=tie_ids, order="incumbent", fusion=True,
+        previous=flipped, densities=dynamic.densities)
     assert_same_clustering(second, oracle)
 
 
@@ -133,9 +132,9 @@ def test_tied_incumbent_flips_force_recompute():
                            previous=flipped, density_changed=frozenset(),
                            graph_changed=False, dag_changed=False)
     assert second is not first
-    oracle = compute_clustering(topo.graph, tie_ids=topo.ids,
-                                order="incumbent", previous=flipped,
-                                densities=densities)
+    oracle = compute_clustering_reference(
+        topo.graph, tie_ids=topo.ids, order="incumbent", previous=flipped,
+        densities=densities)
     assert_same_clustering(second, oracle)
 
 
@@ -159,9 +158,9 @@ def test_head_churn_defeats_reuse_for_incumbent_order():
                           previous=first, density_changed=frozenset(),
                           graph_changed=False, dag_changed=False)
     assert moved is not first
-    oracle = compute_clustering(dynamic.graph, tie_ids=tie_ids,
-                                order="incumbent", previous=first,
-                                densities=dynamic.densities)
+    oracle = compute_clustering_reference(
+        dynamic.graph, tie_ids=tie_ids, order="incumbent", previous=first,
+        densities=dynamic.densities)
     assert_same_clustering(moved, oracle)
 
 
@@ -178,13 +177,13 @@ def test_population_change_reseeds():
                          previous=first,
                          density_changed=update.density_changed,
                          graph_changed=True, dag_changed=False)
-    oracle = compute_clustering(dynamic.graph, tie_ids=tie_ids,
-                                order="basic", previous=first,
-                                densities=dynamic.densities)
+    oracle = compute_clustering_reference(
+        dynamic.graph, tie_ids=tie_ids, order="basic", previous=first,
+        densities=dynamic.densities)
     assert_same_clustering(fast, oracle)
 
 
-def test_custom_order_falls_back_to_oracle():
+def test_custom_order_matches_oracle():
     class ShiftedOrder(BasicOrder):
         name = "shifted"
 
@@ -197,8 +196,8 @@ def test_custom_order_falls_back_to_oracle():
     engine = IncrementalElection(order=ShiftedOrder())
     fast = engine.update(topo.graph, densities, tie_ids=topo.ids,
                          previous=None)
-    oracle = compute_clustering(topo.graph, tie_ids=topo.ids,
-                                order=ShiftedOrder(), densities=densities)
+    oracle = compute_clustering_reference(
+        topo.graph, tie_ids=topo.ids, order=ShiftedOrder(), densities=densities)
     assert_same_clustering(fast, oracle)
 
 
@@ -210,8 +209,8 @@ def test_degenerate_shapes():
         engine = IncrementalElection(order="basic")
         fast = engine.update(topo.graph, densities, tie_ids=topo.ids,
                              previous=None)
-        oracle = compute_clustering(topo.graph, tie_ids=topo.ids,
-                                    densities=densities)
+        oracle = compute_clustering_reference(
+            topo.graph, tie_ids=topo.ids, densities=densities)
         assert_same_clustering(fast, oracle)
 
 
@@ -224,9 +223,9 @@ def test_float_rank_limit_falls_back(monkeypatch):
     engine = IncrementalElection(order="incumbent", fusion=True)
     fast = engine.update(topo.graph, densities, tie_ids=topo.ids,
                          previous=None)
-    oracle = compute_clustering(topo.graph, tie_ids=topo.ids,
-                                order="incumbent", fusion=True,
-                                densities=densities)
+    oracle = compute_clustering_reference(
+        topo.graph, tie_ids=topo.ids, order="incumbent", fusion=True,
+        densities=densities)
     assert_same_clustering(fast, oracle)
 
 
@@ -238,7 +237,7 @@ def test_previous_as_plain_head_set():
     engine = IncrementalElection(order="incumbent")
     fast = engine.update(topo.graph, densities, tie_ids=topo.ids,
                          previous=frozenset(heads))
-    oracle = compute_clustering(topo.graph, tie_ids=topo.ids,
-                                order="incumbent", previous=frozenset(heads),
-                                densities=densities)
+    oracle = compute_clustering_reference(
+        topo.graph, tie_ids=topo.ids, order="incumbent",
+        previous=frozenset(heads), densities=densities)
     assert_same_clustering(fast, oracle)

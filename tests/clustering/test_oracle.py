@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.clustering.density import all_densities
+from repro.clustering.incremental import IncrementalElection
 from repro.clustering.oracle import compute_clustering
 from repro.graph.generators import (
     complete_topology,
@@ -200,13 +202,30 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             compute_clustering(topo.graph, tie_ids={0: 1})
 
+    @pytest.mark.parametrize("bad", ["b", 2.5, 2**70, -(2**63)])
+    @pytest.mark.parametrize("field", ["tie_ids", "dag_ids"])
+    def test_non_int64_ids_rejected_by_both_paths(self, field, bad):
+        topo = line_topology(3)
+        ids = {0: 0, 1: bad, 2: 2}
+        kwargs = {"tie_ids": topo.ids, field: ids}
+        with pytest.raises(ConfigurationError, match="int64"):
+            compute_clustering(topo.graph, **kwargs)
+        densities = all_densities(topo.graph, exact=True)
+        with pytest.raises(ConfigurationError, match="int64"):
+            IncrementalElection().update(topo.graph, densities, **kwargs)
+
+    def test_string_nodes_need_integer_tie_ids(self):
+        graph = Graph(nodes=["x", "y"], edges=[("x", "y")])
+        with pytest.raises(ConfigurationError, match="int64"):
+            compute_clustering(graph)
+        assert compute_clustering(graph, tie_ids={"x": 2, "y": 1}).heads == {"y"}
+
     def test_unknown_order_rejected(self):
         topo = line_topology(3)
         with pytest.raises(ConfigurationError):
             compute_clustering(topo.graph, order="nope")
 
     def test_precomputed_densities_used(self, fig1):
-        from repro.clustering.density import all_densities
         densities = all_densities(fig1.graph, exact=True)
         clustering = compute_clustering(fig1.graph, tie_ids=fig1.ids,
                                         densities=densities)

@@ -179,6 +179,19 @@ class TestCoordinator:
             # A second submission reuses the same connected workers.
             assert coord.submit_all([5, 6], _square) == [25, 36]
 
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_close_is_prompt_and_joins_every_thread(self, workers):
+        coord = Coordinator(worker_wait=10.0)
+        threads = [_start_thread_worker(coord)[1] for _ in range(workers)]
+        assert coord.wait_for_workers(workers, timeout=5)
+        start = time.perf_counter()
+        coord.close()
+        assert time.perf_counter() - start < 0.5
+        for thread in threads:
+            thread.join(timeout=5)
+        assert not [thread.name for thread in threading.enumerate()
+                    if thread.name.startswith("repro-")]
+
     def test_empty_submission(self):
         with Coordinator(worker_wait=1.0) as coord:
             assert coord.submit_all([], _square) == []

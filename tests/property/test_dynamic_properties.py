@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 
 from repro.clustering.density import all_densities
 from repro.clustering.incremental import IncrementalElection
-from repro.clustering.oracle import compute_clustering
 from repro.graph.dynamic import DynamicTopology, DynamicUnitDisk
 from repro.graph.geometry import pairs_within_range
 from repro.mobility.trace import topology_at
 from repro.naming.renaming import conflicting_edges, is_locally_unique
+from tests.oracles.election import compute_clustering_reference
 
 CONFIGS = [("basic", False), ("basic", True),
            ("incumbent", False), ("incumbent", True)]
@@ -140,10 +140,10 @@ def test_elections_match_oracle_under_dynamics(case):
                                  density_changed=density_changed,
                                  graph_changed=graph_changed,
                                  dag_changed=False)
-            oracle = compute_clustering(dynamic.graph, tie_ids=tie_ids,
-                                        dag_ids=dag_ids, order=cfg[0],
-                                        fusion=cfg[1], previous=prev_oracle,
-                                        densities=dynamic.densities)
+            oracle = compute_clustering_reference(
+                dynamic.graph, tie_ids=tie_ids, dag_ids=dag_ids, order=cfg[0],
+                fusion=cfg[1], previous=prev_oracle,
+                densities=dynamic.densities)
             assert fast.heads == oracle.heads
             assert fast.parents == oracle.parents
             assert fast.densities == oracle.densities

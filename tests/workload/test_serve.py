@@ -1,5 +1,5 @@
 """The cached router and serving loop: exact equivalence to the
-uncached routines, flat-hop accounting, and the sampling contract."""
+per-request oracle, flat-hop accounting, and the sampling contract."""
 
 import pytest
 
@@ -15,7 +15,6 @@ from repro.graph.graph import Graph
 from repro.graph.paths import is_connected
 from repro.hierarchy.hierarchy import build_hierarchy
 from repro.hierarchy.routing import hierarchical_route, route_stretch
-from repro.util.errors import ConfigurationError
 from repro.workload.generators import Request, poisson_requests
 from repro.workload.serve import (
     CachedRouter,
@@ -23,6 +22,7 @@ from repro.workload.serve import (
     ServedRequest,
     serve_workload,
 )
+from tests.oracles.routing import ReferenceRouter, serve_workload_reference
 
 
 @pytest.fixture(scope="module")
@@ -44,10 +44,13 @@ class TestCachedRouter:
     def test_routes_equal_hierarchical_route(self, deployment):
         topo, hierarchy = deployment
         router = CachedRouter(hierarchy)
+        oracle = ReferenceRouter(hierarchy)
         for source, destination in sample_pairs(topo):
             route, head_path = router.route(source, destination)
             assert route == hierarchical_route(hierarchy, source,
                                                destination)
+            assert (route, head_path) == \
+                oracle.route_reference(source, destination)
             assert head_path[0] == \
                 hierarchy.physical.clustering.head(source)
             assert head_path[-1] == \
@@ -141,11 +144,6 @@ class TestServeWorkload:
         assert proxy.results()["latency"]["requests"] == 20
         assert router._leg_paths  # warmed by the serve loop
 
-    def test_unknown_mode_raises(self, deployment):
-        _topo, hierarchy = deployment
-        with pytest.raises(ConfigurationError):
-            serve_workload(hierarchy, [], CollectorProxy([]), mode="stream")
-
 
 class TestBatchedRouting:
     """route_batch and the batched serving loop: byte-identical streams."""
@@ -155,13 +153,13 @@ class TestBatchedRouting:
         nodes = sorted(topo.graph.nodes)
         requests = list(poisson_requests(nodes, 240, rng=5))
         batch_router = CachedRouter(hierarchy)
-        loop_router = CachedRouter(hierarchy)
+        loop_router = ReferenceRouter(hierarchy)
         served = batch_router.route_batch(requests, flat_every=7,
                                           first_index=3)
         assert len(served) == len(requests)
         for i, request in enumerate(requests):
-            reference = loop_router.serve(
-                request, with_flat=(3 + i) % 7 == 0, reference=True)
+            reference = loop_router.serve_reference(
+                request, with_flat=(3 + i) % 7 == 0)
             assert served[i] == reference
 
     def test_route_reference_equals_route(self, deployment):
@@ -169,7 +167,8 @@ class TestBatchedRouting:
         router = CachedRouter(hierarchy)
         for source, destination in sample_pairs(topo, count=60):
             assert router.route(source, destination) == \
-                CachedRouter(hierarchy).route_reference(source, destination)
+                ReferenceRouter(hierarchy).route_reference(source,
+                                                           destination)
 
     def test_serving_modes_end_in_identical_collector_state(self, deployment):
         topo, hierarchy = deployment
@@ -183,13 +182,12 @@ class TestBatchedRouting:
                 RouterStatsCollector(),
             ])
 
-        outcomes = {}
-        for mode in ("request", "batch"):
-            collector = serve_workload(
-                hierarchy, poisson_requests(nodes, 400, rng=9), proxy(),
-                flat_every=5, mode=mode, batch_size=64)
-            outcomes[mode] = collector
-        a, b = outcomes["request"], outcomes["batch"]
+        a = serve_workload_reference(
+            hierarchy, poisson_requests(nodes, 400, rng=9), proxy(),
+            flat_every=5)
+        b = serve_workload(
+            hierarchy, poisson_requests(nodes, 400, rng=9), proxy(),
+            flat_every=5, batch_size=64)
         assert a.results() == b.results()
         assert a["link_load"].loads == b["link_load"].loads
         assert a["head_load"].loads == b["head_load"].loads
