@@ -10,8 +10,9 @@ CSR-vs-dict-loop density ratio directly.
 
 import pytest
 
-from repro.clustering.density import all_densities, all_densities_reference
+from repro.clustering.density import all_densities
 from repro.graph.generators import uniform_topology
+from tests.oracles.density import all_densities_reference
 
 SCALES = {1000: 0.08, 5000: 0.08, 10000: 0.05}
 

@@ -12,10 +12,10 @@ import pytest
 
 from repro.clustering.baselines.lowest_id import lowest_id_clustering
 from repro.graph.generators import uniform_topology
-from repro.graph.paths import (
-    bfs_distances,
+from repro.graph.paths import bfs_distances, connected_components
+from tests.oracles.metrics import head_eccentricity_reference
+from tests.oracles.paths import (
     bfs_distances_reference,
-    connected_components,
     connected_components_reference,
 )
 
@@ -83,7 +83,7 @@ def test_bench_head_eccentricity_subgraph_5000_reference(benchmark,
 
     def run():
         heads = clustering.heads
-        return sum(clustering.head_eccentricity_reference(head)
+        return sum(head_eccentricity_reference(clustering, head)
                    for head in heads) / len(heads)
 
     reference = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -6,121 +6,88 @@ priority; an uncovered node becomes a cluster-head and covers its
 neighbors; covered non-heads then affiliate with their best adjacent head.
 The result is a dominating set of heads and 1-hop clusters.
 
-Two implementations produce identical results:
-
-* :func:`greedy_dominating_clustering` runs on the graph's CSR snapshot:
-  the scan order is one ``lexsort`` over the priority columns, coverage
-  is a boolean mask updated row slice by row slice, and the affiliation
-  step is one vectorized maximum over adjacent-head ranks.  Priorities
-  that cannot be laid out as numeric columns, or that are not unique,
-  fall back to the reference path (non-unique priorities make the
-  reference's parent choice depend on set-iteration order, which no
-  array layout can reproduce).
-* :func:`greedy_dominating_clustering_reference` is the original
-  per-node set implementation, kept as the oracle the vectorized path
-  and the incremental engines (``clustering/baselines/incremental.py``)
-  are tested against.
-
-The helpers :func:`greedy_heads` and :func:`affiliate` are shared with
-the incremental engine, whose scratch fallback and re-seeds run the same
-two kernels.
+:func:`greedy_dominating_clustering` runs on the graph's CSR snapshot.
+Tie identifiers pass one input check (:func:`tie_column`), and each
+metric's priority is one int64 column (:func:`greedy_priorities`):
+``-tie_rank`` for lowest-ID (the smaller identifier wins) and
+``(degree << 32) - tie_rank`` for degree.  The scan order is one stable
+argsort, coverage is a boolean mask updated row slice by row slice, and
+the affiliation step is one vectorized maximum over adjacent-head ranks
+(:func:`greedy_parent_rows`).  The incremental engine
+(``clustering/baselines/incremental.py``) seeds, re-seeds and scores its
+repairs with the same helpers.  The test suite keeps the per-node set
+implementation as the oracle (``tests/oracles/baselines.py``).
 """
 
 import numpy as np
 
+from repro.clustering.incremental import id_column
 from repro.clustering.result import Clustering
+from repro.util.errors import ConfigurationError
+
+#: The greedy priority metrics, by engine registry name.
+GREEDY_METRICS = ("lowest-id", "degree")
 
 
-def greedy_dominating_clustering(graph, priority, densities=None):
-    """Greedy 1-hop clustering by decreasing ``priority`` key.
+def greedy_dominating_clustering(graph, metric, tie_ids=None):
+    """Greedy 1-hop clustering under ``metric`` (see :data:`GREEDY_METRICS`).
 
-    ``priority`` maps node -> comparable key (greater wins).  Returns a
+    ``tie_ids`` maps node -> unique integer identifier; defaults to the
+    nodes themselves.  Returns a
     :class:`~repro.clustering.result.Clustering` whose parents point
     members directly at their head (joining trees of height <= 1).
     """
     csr = graph.to_csr()
-    columns = priority_columns(csr.ids, priority)
-    if columns is None:
-        return greedy_dominating_clustering_reference(
-            graph,
-            priority,
-            densities=densities,
-        )
-    order = scan_order(columns)
-    heads = greedy_heads(csr, order)
-    parent_rows = affiliate(csr, heads, scan_rank(order))
+    tie_rank = tie_ranks(tie_column(csr, tie_ids))
+    prio = greedy_priorities(metric, csr.degrees(), tie_rank)
+    _heads, parent_rows = greedy_parent_rows(csr, prio)
     ids = csr.ids
     parents = {ids[i]: ids[p] for i, p in enumerate(parent_rows.tolist())}
-    return Clustering(graph, parents, densities=densities)
+    return Clustering(graph, parents)
 
 
-def greedy_dominating_clustering_reference(graph, priority, densities=None):
-    """The original per-node implementation: the oracle for the fast paths."""
-    heads = set()
-    covered = set()
-    for node in sorted(graph.nodes, key=priority.get, reverse=True):
-        if node not in covered:
-            heads.add(node)
-            covered.add(node)
-            covered |= graph.neighbors(node)
+def tie_column(csr, tie_ids=None):
+    """The checked int64 tie-identifier column, one entry per CSR row.
 
-    parents = {}
-    for node in graph:
-        if node in heads:
-            parents[node] = node
-            continue
-        adjacent_heads = [q for q in graph.neighbors(node) if q in heads]
-        # Every non-head is dominated by construction.
-        parents[node] = max(adjacent_heads, key=priority.get)
-    return Clustering(graph, parents, densities=densities)
-
-
-def priority_columns(ids, priority):
-    """Per-row numeric key columns for ``lexsort``, or ``None``.
-
-    ``None`` sends the caller to the reference path: keys that are not
-    scalars or uniform-width tuples of scalars, non-numeric columns, or
-    non-unique keys (see module docstring).
+    The baselines' one input check: ``tie_ids`` (default: the nodes
+    themselves) must cover exactly the graph's nodes with unique
+    integers in the int64 range, else
+    :class:`~repro.util.errors.ConfigurationError`.
     """
-    values = [priority[node] for node in ids]
-    if not values:
-        return []
-    if len(set(values)) != len(values):
-        return None
-    first = values[0]
-    if isinstance(first, tuple):
-        width = len(first)
-        if any(not isinstance(v, tuple) or len(v) != width for v in values):
-            return None
-        raw = [[v[k] for v in values] for k in range(width)]
-    else:
-        if any(isinstance(v, tuple) for v in values):
-            return None
-        raw = [values]
-    columns = []
-    for column in raw:
-        array = np.asarray(column)
-        if array.dtype.kind not in "iuf" or array.ndim != 1:
-            return None
-        if array.dtype.kind == "u":
-            if array.size and int(array.max()) >= 2**63:
-                return None
-            array = array.astype(np.int64)
-        columns.append(array)
-    return columns
+    if tie_ids is None:
+        tie_ids = dict(zip(csr.ids, csr.ids))
+    return id_column(csr.ids, tie_ids, "tie_ids", unique=True)
 
 
-def scan_order(columns):
-    """Rows in decreasing priority, ties in insertion (row) order.
+def tie_ranks(tie):
+    """Rank of every row's (unique) identifier, the smallest ranked 0."""
+    rank = np.empty(len(tie), dtype=np.int64)
+    rank[np.argsort(tie)] = np.arange(len(tie), dtype=np.int64)
+    return rank
 
-    Replicates ``sorted(nodes, key=priority.get, reverse=True)`` exactly:
-    Python's sort is stable, so reverse-sorting keeps equal keys in
-    insertion order, which is the CSR row order.
+
+def greedy_priorities(metric, degrees, tie_rank):
+    """One int64 priority per row (greater wins), unique by construction.
+
+    ``-tie_rank`` for ``"lowest-id"``; ``(degree << 32) - tie_rank`` for
+    ``"degree"``, which orders like the pair ``(degree, -tie_id)`` since
+    every rank is below ``2**32``.
     """
-    n = len(columns[0]) if columns else 0
-    keys = [np.arange(n)]
-    keys.extend(-column for column in reversed(columns))
-    return np.lexsort(tuple(keys))
+    if metric == "degree":
+        return (degrees << 32) - tie_rank
+    if metric == "lowest-id":
+        return -tie_rank
+    raise ConfigurationError(
+        f"unknown greedy metric {metric!r}; expected 'lowest-id' or 'degree'"
+    )
+
+
+def greedy_parent_rows(csr, prio):
+    """``(heads, parent_rows)``: the greedy scan in decreasing ``prio``,
+    then affiliation with the best adjacent head."""
+    order = np.argsort(-prio, kind="stable")
+    heads = greedy_heads(csr, order)
+    return heads, affiliate(csr, heads, scan_rank(order))
 
 
 def scan_rank(order):

@@ -8,14 +8,12 @@ be more stable than, and the comparator used in the stability benches.
 """
 
 from repro.clustering.baselines.common import greedy_dominating_clustering
-from repro.util.errors import ConfigurationError
 
 
 def degree_clustering(graph, tie_ids=None):
-    """1-hop clusters headed by local degree maxima."""
-    if tie_ids is None:
-        tie_ids = {node: node for node in graph}
-    if set(tie_ids) != set(graph.nodes):
-        raise ConfigurationError("tie_ids must cover exactly the graph's nodes")
-    priority = {node: (graph.degree(node), -tie_ids[node]) for node in graph}
-    return greedy_dominating_clustering(graph, priority)
+    """1-hop clusters headed by local degree maxima.
+
+    ``tie_ids`` maps node -> unique integer identifier; defaults to the
+    nodes themselves.
+    """
+    return greedy_dominating_clustering(graph, "degree", tie_ids)

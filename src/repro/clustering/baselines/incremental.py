@@ -34,7 +34,13 @@ import heapq
 
 import numpy as np
 
-from repro.clustering.baselines.common import affiliate, greedy_heads, scan_rank
+from repro.clustering.baselines.common import (
+    GREEDY_METRICS,
+    greedy_parent_rows,
+    greedy_priorities,
+    tie_column,
+    tie_ranks,
+)
 from repro.clustering.baselines.maxmin import (
     cluster_parent_rows,
     flood_logs,
@@ -76,28 +82,19 @@ def _endpoint_rows(csr, delta):
     return np.unique(rows)
 
 
-def _checked_tie_column(csr, tie_ids):
-    n = len(csr)
-    tie = np.fromiter((tie_ids[node] for node in csr.ids), dtype=np.int64, count=n)
-    if len(np.unique(tie)) != n:
-        raise ConfigurationError("tie identifiers must be unique")
-    return tie
-
-
 class GreedyDominatingEngine(EngineBase):
     """Incremental greedy dominating clustering (lowest-ID / degree).
 
     One class serves both metrics: the rule is identical, only the
-    priority key differs.  Priorities are encoded one int64 per row --
-    the negated rank of the tie identifier for ``"lowest-id"`` (smaller
-    identifier wins) and ``(degree << 32) - tie_rank`` for ``"degree"``
-    -- so every comparison in the repair loop is one scalar compare and
+    priority key differs.  Priorities are the scratch clusterer's int64
+    column (:func:`~repro.clustering.baselines.common.greedy_priorities`),
+    so every comparison in the repair loop is one scalar compare and
     the scratch scan order is one argsort.
     """
 
     def __init__(self, metric):
         super().__init__()
-        if metric not in ("lowest-id", "degree"):
+        if metric not in GREEDY_METRICS:
             raise ConfigurationError(
                 f"unknown greedy metric {metric!r}; expected 'lowest-id' or 'degree'"
             )
@@ -116,23 +113,16 @@ class GreedyDominatingEngine(EngineBase):
         graph = topology.graph
         csr = graph.to_csr()
         self._csr = csr
-        n = len(csr)
-        tie = _checked_tie_column(csr, topology.ids)
-        self._tie_rank = np.empty(n, dtype=np.int64)
-        self._tie_rank[np.argsort(tie)] = np.arange(n, dtype=np.int64)
+        self._tie_rank = tie_ranks(tie_column(csr, topology.ids))
         self._prio = self._priorities(csr)
         self._rebuild(csr)
         return self._to_clustering(graph)
 
     def _priorities(self, csr):
-        if self.metric == "degree":
-            return (csr.degrees() << 32) - self._tie_rank
-        return -self._tie_rank
+        return greedy_priorities(self.metric, csr.degrees(), self._tie_rank)
 
     def _rebuild(self, csr):
-        order = np.argsort(-self._prio, kind="stable")
-        self._heads = greedy_heads(csr, order)
-        self._parent = affiliate(csr, self._heads, scan_rank(order))
+        self._heads, self._parent = greedy_parent_rows(csr, self._prio)
 
     # ------------------------------------------------------------------
     # the incremental window
@@ -162,8 +152,9 @@ class GreedyDominatingEngine(EngineBase):
         endpoints = _endpoint_rows(csr, delta)
         if self.metric == "lowest-id":
             return endpoints
-        degrees = csr.degrees()
-        self._prio[endpoints] = (degrees[endpoints] << 32) - self._tie_rank[endpoints]
+        self._prio[endpoints] = greedy_priorities(
+            self.metric, csr.degrees()[endpoints], self._tie_rank[endpoints]
+        )
         mask = np.zeros(len(csr), dtype=bool)
         mask[endpoints] = True
         indptr = csr.indptr
@@ -259,7 +250,7 @@ class MaxMinEngine(EngineBase):
         graph = topology.graph
         csr = graph.to_csr()
         self._csr = csr
-        self._tie = _checked_tie_column(csr, topology.ids)
+        self._tie = tie_column(csr, topology.ids)
         self._recompute(csr)
         return self._to_clustering(graph)
 

@@ -8,7 +8,6 @@ the comparators of [16].
 """
 
 from repro.clustering.baselines.common import greedy_dominating_clustering
-from repro.util.errors import ConfigurationError
 
 
 def lowest_id_clustering(graph, tie_ids=None):
@@ -17,10 +16,4 @@ def lowest_id_clustering(graph, tie_ids=None):
     ``tie_ids`` maps node -> unique integer identifier; defaults to the
     nodes themselves.
     """
-    if tie_ids is None:
-        tie_ids = {node: node for node in graph}
-    if set(tie_ids) != set(graph.nodes):
-        raise ConfigurationError("tie_ids must cover exactly the graph's nodes")
-    # Lower identifier wins, so priority is the negated identifier.
-    priority = {node: -tie_ids[node] for node in graph}
-    return greedy_dominating_clustering(graph, priority)
+    return greedy_dominating_clustering(graph, "lowest-id", tie_ids)

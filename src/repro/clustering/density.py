@@ -16,8 +16,8 @@ workloads run at array speed; the snapshot (and its memoized triangle
 counts) is reused across calls until the graph mutates.  Densities are
 ratios of integers, so the ``exact=True`` path rebuilds the same
 :class:`~fractions.Fraction` values from the integer triangle counts that
-the per-edge reference computes -- :func:`all_densities_reference`, the
-dict-backend implementation, is kept as the equivalence oracle for tests.
+a per-edge scan computes; the test suite keeps that dict-backend scan as
+the oracle (``tests/oracles/density.py``).
 
 Isolated nodes have ``|Np| = 0``; Definition 1 is then undefined and this
 module defines their density as ``0.0`` (DESIGN.md, deviation 2).
@@ -123,11 +123,9 @@ def all_densities(graph, exact=False):
     Equivalent to calling :func:`density` per node but vectorized: the
     frozen CSR snapshot counts every triangle with bulk sorted-adjacency
     intersections, and ``deg + triangles`` over ``deg`` is formed per node
-    from those integers -- bit-identical to the reference on both the
+    from those integers -- bit-identical to the per-edge oracle on both the
     exact and the float path (both divide the same machine integers).
     """
-    if not hasattr(graph, "to_csr"):
-        return all_densities_reference(graph, exact=exact)
     csr = graph.to_csr()
     degrees = csr.degrees()
     triangles = csr.triangle_counts()
@@ -137,35 +135,6 @@ def all_densities(graph, exact=False):
                 in zip(csr.ids, degrees.tolist(), triangles.tolist())}
     values = density_float_image(degrees, triangles)
     return dict(zip(csr.ids, values.tolist()))
-
-
-def all_densities_reference(graph, exact=False):
-    """Per-edge dict-backend reference for :func:`all_densities`.
-
-    One pass over edges with a common-neighbor scan: each edge between two
-    neighbors of ``w`` is a triangle through ``w``.  ``O(m * delta)``
-    total time, no NumPy -- kept as the oracle the property tests compare
-    the CSR path against.
-    """
-    triangles = {node: 0 for node in graph}
-    for u, v in graph.edges:
-        nu = graph.neighbors(u)
-        nv = graph.neighbors(v)
-        if len(nu) > len(nv):
-            nu, nv = nv, nu
-        for w in nu:
-            if w in nv:
-                # w sees edge (u, v) inside its neighborhood.
-                triangles[w] += 1
-    result = {}
-    for node in graph:
-        deg = graph.degree(node)
-        if deg == 0:
-            result[node] = Fraction(0) if exact else ISOLATED_DENSITY
-            continue
-        value = Fraction(deg + triangles[node], deg)
-        result[node] = value if exact else float(value)
-    return result
 
 
 def density_bounds(degree):

@@ -21,9 +21,9 @@ overlay head path, one gateway per overlay hop, and intra-cluster legs
 far more often than whole (source, destination) pairs do.  The router
 memoizes
 
-* the overlay BFS tree per source head (one dict BFS each, identical
-  expansion order to :func:`shortest_path`, so the chosen head path and
-  hence the gateway sequence are deterministic);
+* the overlay BFS tree per source head (one deque BFS each in
+  neighbor order, so the chosen head path and hence the gateway
+  sequence are deterministic);
 * a compact **per-cluster sub-CSR** (member rows ascending, neighbor
   blocks filtered to the cluster) so intra-cluster parent fan-outs are
   sweeps over cluster-sized arrays instead of graph-sized ones.  The
@@ -65,33 +65,6 @@ from repro.util.errors import ConfigurationError, TopologyError
 #: sample pairs filter with ``math.isinf(stretch)`` instead of catching
 #: an exception.
 UNREACHABLE = (math.inf, math.inf, math.inf)
-
-
-def shortest_path(graph, source, target):
-    """One shortest path (as a node list) or None when disconnected."""
-    if source not in graph or target not in graph:
-        raise TopologyError("endpoints must be in the graph")
-    if source == target:
-        return [source]
-    parents = {source: None}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        for neighbor in graph.neighbors(node):
-            if neighbor not in parents:
-                parents[neighbor] = node
-                if neighbor == target:
-                    return _unwind(parents, target)
-                queue.append(neighbor)
-    return None
-
-
-def _unwind(parents, target):
-    path = [target]
-    while parents[path[-1]] is not None:
-        path.append(parents[path[-1]])
-    path.reverse()
-    return path
 
 
 class ServedRequest(NamedTuple):
@@ -154,10 +127,9 @@ class CachedRouter:
     def _overlay_tree(self, head):
         """Full BFS parent tree over the overlay graph from ``head``.
 
-        Same discovery order as :func:`shortest_path` (deque BFS in
-        neighbor order), minus the early exit -- which never changes the
-        parents of rows discovered before the target, so unwound paths
-        match it exactly.
+        Deque BFS in neighbor order, so the tree holds the parents an
+        early-exit BFS toward any single target would record: unwound
+        paths are that search's shortest path.
         """
         tree = self._overlay_trees.get(head)
         if tree is None:

@@ -2,18 +2,13 @@
 
 import pytest
 
-from repro.clustering.baselines.common import (
-    greedy_dominating_clustering,
-    greedy_dominating_clustering_reference,
-    priority_columns,
-)
+from repro.clustering.baselines import GreedyDominatingEngine, MaxMinEngine
+from repro.clustering.baselines.common import greedy_dominating_clustering
 from repro.clustering.baselines.degree import degree_clustering
 from repro.clustering.baselines.lowest_id import lowest_id_clustering
-from repro.clustering.baselines.maxmin import (
-    maxmin_clustering,
-    maxmin_clustering_reference,
-)
+from repro.clustering.baselines.maxmin import maxmin_clustering
 from repro.graph.generators import (
+    Topology,
     complete_topology,
     line_topology,
     star_topology,
@@ -21,27 +16,29 @@ from repro.graph.generators import (
 )
 from repro.graph.graph import Graph
 from repro.util.errors import ConfigurationError
+from tests.oracles.baselines import (
+    degree_clustering_reference,
+    lowest_id_clustering_reference,
+    maxmin_clustering_reference,
+)
 
 
 class TestGreedyDominating:
     def test_heads_form_dominating_set(self, random50):
         graph = random50.graph
-        priority = {node: -node for node in graph}
-        clustering = greedy_dominating_clustering(graph, priority)
+        clustering = greedy_dominating_clustering(graph, "lowest-id")
         for node in graph:
             assert clustering.is_head(node) or any(
                 clustering.is_head(q) for q in graph.neighbors(node))
 
     def test_heads_are_independent_set(self, random50):
         graph = random50.graph
-        priority = {node: -node for node in graph}
-        clustering = greedy_dominating_clustering(graph, priority)
+        clustering = greedy_dominating_clustering(graph, "lowest-id")
         clustering.check_invariants()  # includes heads-non-adjacent
 
     def test_one_hop_clusters(self, random50):
         graph = random50.graph
-        priority = {node: -node for node in graph}
-        clustering = greedy_dominating_clustering(graph, priority)
+        clustering = greedy_dominating_clustering(graph, "lowest-id")
         assert all(clustering.depth(node) <= 1 for node in graph)
 
 
@@ -149,12 +146,12 @@ class TestVectorizedAgainstReference:
         for seed in range(6):
             topo = uniform_topology(60, 0.18, rng=seed)
             graph = topo.graph
-            for priority in (
-                {node: -node for node in graph},
-                {node: (graph.degree(node), -node) for node in graph},
+            for fast_path, oracle in (
+                (lowest_id_clustering, lowest_id_clustering_reference),
+                (degree_clustering, degree_clustering_reference),
             ):
-                fast = greedy_dominating_clustering(graph, priority)
-                slow = greedy_dominating_clustering_reference(graph, priority)
+                fast = fast_path(graph)
+                slow = oracle(graph)
                 assert fast.heads == slow.heads
                 assert fast.parents == slow.parents
 
@@ -162,9 +159,8 @@ class TestVectorizedAgainstReference:
         for topo in (line_topology(7), star_topology(6),
                      complete_topology(5)):
             graph = topo.graph
-            priority = {node: -node for node in graph}
-            fast = greedy_dominating_clustering(graph, priority)
-            slow = greedy_dominating_clustering_reference(graph, priority)
+            fast = greedy_dominating_clustering(graph, "lowest-id")
+            slow = lowest_id_clustering_reference(graph)
             assert fast.parents == slow.parents
 
     def test_maxmin_matches_reference_on_random_graphs(self):
@@ -185,33 +181,56 @@ class TestVectorizedAgainstReference:
         slow = maxmin_clustering_reference(topo.graph, d=2, tie_ids=topo.ids)
         assert fast.parents == slow.parents
 
-    def test_non_unique_priorities_use_reference_path(self):
-        # Equal keys make the reference's parent choice depend on set
-        # iteration order; the vectorized path must decline (and the
-        # public entry point then matches the reference by construction).
-        graph = Graph(edges=[(0, 2), (1, 2)])
-        priority = {0: 1, 1: 1, 2: 0}
-        ids = graph.to_csr().ids
-        assert priority_columns(ids, priority) is None
-        fast = greedy_dominating_clustering(graph, priority)
-        slow = greedy_dominating_clustering_reference(graph, priority)
-        assert fast.parents == slow.parents
-
-    def test_priority_columns_rejects_exotic_keys(self):
-        ids = (0, 1, 2)
-        # Mixed scalar/tuple and ragged tuple widths.
-        assert priority_columns(ids, {0: (1, 2), 1: 3, 2: (4, 5)}) is None
-        assert priority_columns(ids, {0: (1, 2), 1: (3,), 2: (4, 5)}) is None
-        # Non-numeric keys.
-        assert priority_columns(ids, {0: "a", 1: "b", 2: "c"}) is None
-        # Over-int64 unsigned values cannot be laid out losslessly.
-        assert priority_columns(ids, {0: 2**64, 1: 1, 2: 2}) is None
-        # Plain ints lay out as one int64 column.
-        columns = priority_columns(ids, {0: 5, 1: 3, 2: 4})
-        assert len(columns) == 1
-        assert columns[0].tolist() == [5, 3, 4]
-
     def test_empty_graph(self):
-        clustering = greedy_dominating_clustering(Graph(), {})
+        clustering = greedy_dominating_clustering(Graph(), "lowest-id")
         assert clustering.parents == {}
         assert maxmin_clustering(Graph(), d=2).parents == {}
+
+
+#: Tie-identifier maps over ``line_topology(4)`` that the one input
+#: check must refuse: not integers, not unique, or outside int64.
+BAD_TIE_IDS = {
+    "str": {0: "a", 1: "b", 2: "c", 3: "d"},
+    "float": {0: 0, 1: 1, 2: 2.5, 3: 3},
+    # int64 truncation used to read these as {0, 0, 1, 1}.
+    "fractions": {0: .2, 1: .7, 2: 1.2, 3: 1.9},
+    "duplicate": {0: 0, 1: 1, 2: 1, 3: 3},
+    "beyond-int64": {0: 0, 1: 2**70, 2: 2, 3: 3},
+}
+
+
+def _engine_init(engine, graph, tie_ids):
+    topology = Topology(graph)
+    topology.ids = tie_ids  # bypass Topology's own uniqueness check
+    return engine.init(topology)
+
+
+ENTRY_POINTS = {
+    "lowest_id_clustering": lambda graph, ids: lowest_id_clustering(
+        graph, tie_ids=ids),
+    "degree_clustering": lambda graph, ids: degree_clustering(
+        graph, tie_ids=ids),
+    "maxmin_clustering": lambda graph, ids: maxmin_clustering(
+        graph, d=2, tie_ids=ids),
+    "GreedyDominatingEngine": lambda graph, ids: _engine_init(
+        GreedyDominatingEngine("lowest-id"), graph, ids),
+    "MaxMinEngine": lambda graph, ids: _engine_init(
+        MaxMinEngine(d=2), graph, ids),
+}
+
+
+class TestTieIdCheck:
+    """Every baseline entry point refuses bad identifiers up front."""
+
+    @pytest.mark.parametrize("kind", sorted(BAD_TIE_IDS))
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_bad_ids_raise(self, entry, kind):
+        graph = line_topology(4).graph
+        with pytest.raises(ConfigurationError, match="tie_ids"):
+            ENTRY_POINTS[entry](graph, BAD_TIE_IDS[kind])
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_good_ids_pass(self, entry):
+        graph = line_topology(4).graph
+        clustering = ENTRY_POINTS[entry](graph, {0: 7, 1: -3, 2: 2**62, 3: 0})
+        assert set(clustering.parents) == {0, 1, 2, 3}

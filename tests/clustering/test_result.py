@@ -6,6 +6,7 @@ from repro.clustering.result import Clustering
 from repro.graph.generators import line_topology, star_topology
 from repro.graph.graph import Graph
 from repro.util.errors import TopologyError
+from tests.oracles.metrics import head_eccentricity_reference
 
 
 def chain_clustering():
@@ -115,6 +116,19 @@ class TestMetrics:
         clustering = Clustering(Graph(), {})
         assert clustering.average_tree_length() == 0.0
         assert clustering.average_head_eccentricity() == 0.0
+
+    @pytest.mark.parametrize("mutate", [
+        lambda graph: graph.remove_edge(1, 2),
+        lambda graph: graph.remove_node(3),
+    ], ids=["cluster-cut", "member-removed"])
+    def test_broken_cluster_raises_the_oracle_error(self, mutate):
+        clustering = chain_clustering()
+        mutate(clustering.graph)
+        with pytest.raises(TopologyError) as oracle_error:
+            head_eccentricity_reference(clustering, 0)
+        with pytest.raises(TopologyError) as error:
+            clustering.head_eccentricity(0)
+        assert str(error.value) == str(oracle_error.value)
 
 
 class TestInvariants:

@@ -8,13 +8,9 @@ from repro.graph.generators import line_topology, uniform_topology
 from repro.graph.graph import Graph
 from repro.graph.paths import bfs_distances, is_connected
 from repro.hierarchy.hierarchy import build_hierarchy
-from repro.hierarchy.routing import (
-    UNREACHABLE,
-    hierarchical_route,
-    route_stretch,
-    shortest_path,
-)
+from repro.hierarchy.routing import UNREACHABLE, hierarchical_route, route_stretch
 from repro.util.errors import TopologyError
+from tests.oracles.routing import shortest_path
 
 
 @pytest.fixture(scope="module")

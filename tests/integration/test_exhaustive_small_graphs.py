@@ -8,8 +8,13 @@ default; run it with ``pytest -m slow``).  On each graph:
 * :func:`compute_clustering` equals the per-node oracle under both
   orders (the incumbent order seeded with the basic heads), with fusion
   on and off, and with polite-renaming DAG names on and off;
+* the election's ``depth``, ``tree_length`` and ``head_eccentricity``
+  equal the per-node metric oracles;
 * :func:`clustering_from_keys` with energy-shaped
   ``(bucket, density, -dag, -tie)`` keys equals the oracle;
+* ``lowest_id_clustering``, ``degree_clustering`` and
+  ``maxmin_clustering`` (d=1 and d=2) equal the per-node baseline
+  oracles;
 * ``route_batch`` over every ordered pair of ``build_hierarchy`` equals
   the per-request routing oracle.
 """
@@ -19,6 +24,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from repro.clustering.baselines import (
+    degree_clustering,
+    lowest_id_clustering,
+    maxmin_clustering,
+)
 from repro.clustering.density import all_densities
 from repro.clustering.oracle import clustering_from_keys, compute_clustering
 from repro.graph.generators import Topology
@@ -27,9 +37,19 @@ from repro.hierarchy.hierarchy import build_hierarchy
 from repro.hierarchy.routing import CachedRouter
 from repro.naming.assign import assign_dag_ids
 from repro.workload.generators import Request
+from tests.oracles.baselines import (
+    degree_clustering_reference,
+    lowest_id_clustering_reference,
+    maxmin_clustering_reference,
+)
 from tests.oracles.election import (
     clustering_from_keys_reference,
     compute_clustering_reference,
+)
+from tests.oracles.metrics import (
+    depth_reference,
+    head_eccentricity_reference,
+    tree_length_reference,
 )
 from tests.oracles.routing import ReferenceRouter
 
@@ -52,6 +72,25 @@ def assert_same(fast, oracle):
     assert fast.fusion == oracle.fusion
 
 
+def assert_metrics_match(clustering):
+    for node in clustering.parents:
+        assert clustering.depth(node) == depth_reference(clustering, node)
+    for head in clustering.heads:
+        assert clustering.tree_length(head) == tree_length_reference(
+            clustering, head)
+        assert clustering.head_eccentricity(head) == \
+            head_eccentricity_reference(clustering, head)
+
+
+def check_baselines(graph):
+    for fast, oracle in ((lowest_id_clustering, lowest_id_clustering_reference),
+                         (degree_clustering, degree_clustering_reference)):
+        assert fast(graph).parents == oracle(graph).parents
+    for d in (1, 2):
+        assert (maxmin_clustering(graph, d=d).parents
+                == maxmin_clustering_reference(graph, d=d).parents)
+
+
 def check_graph(n, mask, graph):
     topology = Topology(graph)
     densities = all_densities(graph, exact=True)
@@ -70,6 +109,7 @@ def check_graph(n, mask, graph):
                 graph, tie_ids=topology.ids, dag_ids=names, order=order,
                 fusion=fusion, previous=previous, densities=densities)
             assert_same(fast, oracle)
+            assert_metrics_match(fast)
             if (order, fusion) == ("basic", False):
                 basic_heads = fast.heads
         keys = {}
@@ -88,6 +128,7 @@ def check_graph(n, mask, graph):
                     graph, keys, fusion=fusion, densities=densities,
                     dag_ids=names, order_name="energy-aware"))
 
+    check_baselines(graph)
     hierarchy = build_hierarchy(topology, rng=np.random.default_rng(mask))
     requests = [Request(time=0.0, source=s, destination=d)
                 for s in range(n) for d in range(n)]

@@ -3,18 +3,49 @@
 The production router (:meth:`repro.hierarchy.routing.CachedRouter.
 route_batch`) groups requests by head pair and unwinds intra-cluster
 legs from per-cluster dense distance matrices.  :class:`ReferenceRouter`
-keeps the per-request loop it must agree with: walk the overlay head
-path request by request and route every intra-cluster leg with a
-label-constrained BFS over the *whole* graph (``kernels.bfs_parents``,
-cached per leg source), unwinding the path per target.
-:func:`serve_workload_reference` is the matching per-request serving
-loop; the batched-serving floor bench measures against it.
+keeps the per-request loop it must agree with: find the overlay head
+path request by request with its own early-exit BFS
+(:func:`shortest_path`, not the router's cached BFS trees) and route
+every intra-cluster leg with a label-constrained BFS over the *whole*
+graph (``kernels.bfs_parents``, cached per leg source), unwinding the
+path per target.  :func:`serve_workload_reference` is the matching
+per-request serving loop; the batched-serving floor bench measures
+against it.
 """
+
+from collections import deque
 
 from repro.graph import kernels
 from repro.hierarchy.routing import CachedRouter, ServedRequest
 from repro.util.errors import TopologyError
 from repro.workload.serve import _router_stats_sink
+
+
+def shortest_path(graph, source, target):
+    """One shortest path (as a node list) or None when disconnected."""
+    if source not in graph or target not in graph:
+        raise TopologyError("endpoints must be in the graph")
+    if source == target:
+        return [source]
+    parents = {source: None}
+    queue = deque([source])
+    while queue:
+        node = queue.popleft()
+        for neighbor in graph.neighbors(node):
+            if neighbor not in parents:
+                parents[neighbor] = node
+                if neighbor == target:
+                    return _unwind(parents, target)
+                queue.append(neighbor)
+    return None
+
+
+def _unwind(parents, target):
+    path = [target]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    path.reverse()
+    return path
 
 
 class ReferenceRouter(CachedRouter):
@@ -45,6 +76,11 @@ class ReferenceRouter(CachedRouter):
             path = tuple(ids[row] for row in rows)
             self._leg_paths[key] = path
         return path
+
+    def overlay_path(self, head_src, head_dst):
+        """The overlay head path from one early-exit BFS, or ``None``."""
+        path = shortest_path(self.overlay.topology.graph, head_src, head_dst)
+        return None if path is None else tuple(path)
 
     def route_reference(self, source, destination):
         """``(route, head_path)`` for one pair; ``(None, None)`` when

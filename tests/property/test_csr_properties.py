@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.clustering.density import all_densities, all_densities_reference
+from repro.clustering.density import all_densities
 from repro.graph.generators import uniform_topology
 from repro.graph.graph import Graph
 from repro.graph.quasi_udg import quasi_uniform_topology
 
+from tests.oracles.density import all_densities_reference
 from tests.property.strategies import graphs
 
 

@@ -17,27 +17,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.clustering.baselines.common import (
-    greedy_dominating_clustering_reference,
-)
-from repro.clustering.baselines.maxmin import maxmin_clustering_reference
 from repro.clustering.engine import engine_for, registered_engines
 from repro.clustering.oracle import compute_clustering
 from repro.graph.dynamic import DynamicTopology, WindowUpdate
 from repro.graph.generators import uniform_topology
 from repro.util.errors import ConfigurationError
+from tests.oracles.baselines import (
+    degree_clustering_reference,
+    lowest_id_clustering_reference,
+    maxmin_clustering_reference,
+)
 
 
 def _lowest_id_oracle(topology):
-    priority = {node: -topology.ids[node] for node in topology.graph}
-    return greedy_dominating_clustering_reference(topology.graph, priority)
+    return lowest_id_clustering_reference(topology.graph, topology.ids)
 
 
 def _degree_oracle(topology):
-    graph = topology.graph
-    priority = {node: (graph.degree(node), -topology.ids[node])
-                for node in graph}
-    return greedy_dominating_clustering_reference(graph, priority)
+    return degree_clustering_reference(topology.graph, topology.ids)
 
 
 def _maxmin_oracle(d):
@@ -193,7 +190,7 @@ def test_maxmin_singleton_fallback_survives_deltas():
 
 def _selected_heads(topo):
     """Heads by rule 1-3 selection alone (before the fallback)."""
-    from repro.clustering.baselines.maxmin import _flood, _select_head_id
+    from tests.oracles.baselines import _flood, _select_head_id
     g = topo.graph
     tie = topo.ids
     max_log = _flood(g, rounds=2, combine=max,

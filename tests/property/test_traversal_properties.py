@@ -14,14 +14,18 @@ from hypothesis import given, settings
 from repro.clustering.baselines.lowest_id import lowest_id_clustering
 from repro.clustering.baselines.maxmin import maxmin_clustering
 from repro.graph.generators import uniform_topology
-from repro.graph.paths import (
-    bfs_distances,
-    bfs_distances_reference,
-    connected_components,
-    connected_components_reference,
-)
+from repro.graph.paths import bfs_distances, connected_components
 from repro.graph.quasi_udg import quasi_uniform_topology
 
+from tests.oracles.metrics import (
+    depth_reference,
+    head_eccentricity_reference,
+    tree_length_reference,
+)
+from tests.oracles.paths import (
+    bfs_distances_reference,
+    connected_components_reference,
+)
 from tests.property.strategies import graphs
 
 
@@ -36,12 +40,12 @@ def assert_traversals_match(graph):
 
 def assert_clustering_metrics_match(clustering):
     for node in clustering.parents:
-        assert clustering.depth(node) == clustering.depth_reference(node)
+        assert clustering.depth(node) == depth_reference(clustering, node)
     for head in clustering.heads:
         assert clustering.tree_length(head) == \
-            clustering.tree_length_reference(head)
+            tree_length_reference(clustering, head)
         assert clustering.head_eccentricity(head) == \
-            clustering.head_eccentricity_reference(head)
+            head_eccentricity_reference(clustering, head)
 
 
 @settings(max_examples=60)
