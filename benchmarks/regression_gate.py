@@ -47,6 +47,8 @@ REQUIRED = [
     "test_bench_bfs_dict_loop_5000_reference",
     "test_bench_head_eccentricity_subgraph_5000_reference",
     "test_bench_components_dict_loop_5000_reference",
+    "test_bench_assign_dag_ids[5000]",
+    "test_bench_assign_dag_ids_5000_reference",
     "test_bench_mobility_windows_delta[1000]",
     "test_bench_mobility_windows_delta[5000]",
     "test_bench_mobility_windows_rebuild[1000]",
@@ -128,6 +130,9 @@ SPEEDUP_FLOORS = [
     ("test_bench_workload_serve_floor[request]",
      "test_bench_workload_serve_floor[batch]",
      BATCHED_SERVE_FLOOR, "5000-node Zipf batched serving speedup"),
+    ("test_bench_assign_dag_ids_5000_reference",
+     "test_bench_assign_dag_ids[5000]",
+     10.0, "5000-node array DAG naming speedup"),
 ]
 
 

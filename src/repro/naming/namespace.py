@@ -6,7 +6,15 @@ argues ``δ**2`` "or even δ" suffices here; Section 5's simulations draw DAG
 identifiers between 0 and ``δ**2``.  Local uniqueness requires
 ``|γ| > δ``, otherwise a node surrounded by ``δ`` distinct names may find
 no free name to draw.
+
+:meth:`NameSpace.sample` makes one ``rng.integers(free)`` draw and maps
+that index to the index-th free name by stepping past the sorted
+exclusions, so a draw costs O(|exclude| log |exclude|) whatever ``|γ|``
+is.  The test suite keeps the scan over ``γ`` as the oracle
+(``tests/oracles/naming.py``).
 """
+
+import operator
 
 from repro.util.errors import ConfigurationError
 from repro.util.rng import as_rng
@@ -21,7 +29,15 @@ class NameSpace:
         self.size = int(size)
 
     def __contains__(self, name):
-        return isinstance(name, int) and 0 <= name < self.size
+        """True iff ``name`` is an integer (Python or numpy, never a
+        bool) in ``[0, size)``."""
+        if isinstance(name, bool):
+            return False
+        try:
+            name = operator.index(name)
+        except TypeError:
+            return False
+        return 0 <= name < self.size
 
     def __len__(self):
         return self.size
@@ -33,20 +49,21 @@ class NameSpace:
         which means the name space is too small for the local degree.
         """
         rng = as_rng(rng)
-        forbidden = {name for name in exclude if name in self}
+        forbidden = sorted({operator.index(name) for name in exclude
+                            if name in self})
         free = self.size - len(forbidden)
         if free <= 0:
             raise ConfigurationError(
                 f"name space of size {self.size} exhausted by "
                 f"{len(forbidden)} excluded names; increase |γ| above δ")
-        index = int(rng.integers(free))
-        count = -1
-        for name in range(self.size):
-            if name not in forbidden:
-                count += 1
-                if count == index:
-                    return name
-        raise AssertionError("unreachable: free name accounting is wrong")
+        # The index-th free name: each forbidden name at or below the
+        # candidate pushes it one further up.
+        name = int(rng.integers(free))
+        for taken in forbidden:
+            if taken > name:
+                break
+            name += 1
+        return name
 
     def __repr__(self):
         return f"NameSpace(size={self.size})"

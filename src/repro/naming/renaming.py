@@ -16,12 +16,24 @@ only the one with the smaller "normal" identifier re-draws.  Both variants
 are implemented here as synchronous round simulators over a global graph
 view; the message-passing version lives in ``repro.protocols.naming`` and
 reuses :func:`new_id`.
+
+Both simulators share one array implementation over the graph's CSR
+snapshot.  Names are one int64 column in row order (the order ``for
+node in graph`` visits nodes), the initial draw is one ``rng.integers(|γ|,
+size=n)`` call (the same stream, generator state included, as ``n``
+scalar draws), collisions are one comparison over the edge arrays, and
+a round walks only the rows that must re-draw, in row order, each
+excluding its neighbors' names of the previous round.  The variants
+differ only in which rows re-draw.  The test suite keeps the per-node
+round loops as the oracle (``tests/oracles/naming.py``) and checks
+names, round counts and the final generator state against it.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.clustering.incremental import id_column
 from repro.naming.namespace import NameSpace, recommended_size
 from repro.util.errors import ConfigurationError, ConvergenceError
 from repro.util.rng import as_rng
@@ -47,10 +59,9 @@ def is_locally_unique(graph, ids):
 
     Checked on the graph's CSR snapshot when available: one vectorized
     name comparison over the edge arrays instead of the per-edge Python
-    scan of :func:`conflicting_edges` -- the per-window mobility repair
-    evaluates this on every (re)named topology, so it sits on the hot
-    path.  Non-integer names (or graphs without a snapshot) fall back to
-    the reference scan, which always remains the oracle.
+    scan of :func:`conflicting_edges`.  Non-integer names (the protocol
+    simulations may hold any value) or graphs without a snapshot take
+    that scan.
     """
     to_csr = getattr(graph, "to_csr", None)
     if to_csr is not None:
@@ -99,44 +110,71 @@ class _RenamingBase:
         """Run to local uniqueness; raise ConvergenceError past the budget.
 
         ``initial_ids`` seeds the state (used by stabilization tests to
-        start from corrupted configurations); when omitted every node draws
-        uniformly, which counts as the first round.  ``tie_ids`` supplies
-        normal identifiers for the polite variant (defaults to the nodes).
+        start from corrupted configurations) and must map every node to
+        an integer; when omitted every node draws uniformly, which counts
+        as the first round.  ``tie_ids`` supplies integer normal
+        identifiers for the polite variant (defaults to the nodes).
         """
         rng = as_rng(rng)
         namespace = self._namespace_for(graph)
-        if tie_ids is None:
-            tie_ids = {node: node for node in graph}
-        if set(tie_ids) != set(graph.nodes):
-            raise ConfigurationError("tie_ids must cover exactly the graph's nodes")
-
+        csr = graph.to_csr()
+        nodes = csr.ids
+        ties = self._tie_column(nodes, tie_ids)
         if initial_ids is None:
-            ids = {node: namespace.sample(rng) for node in graph}
+            names = rng.integers(namespace.size, size=len(nodes))
         else:
-            ids = dict(initial_ids)
-            if set(ids) != set(graph.nodes):
-                raise ConfigurationError(
-                    "initial_ids must cover exactly the graph's nodes")
+            names = _name_column(nodes, initial_ids)
+        eu, ev = csr.edge_arrays()
         rounds = 1
         redraw_rounds = 0
-        history = [dict(ids)] if self.keep_history else []
+        history = [dict(zip(nodes, names.tolist()))] if self.keep_history else []
 
-        while not is_locally_unique(graph, ids):
+        while True:
+            clash = names[eu] == names[ev]
+            if not clash.any():
+                break
             if rounds >= self.max_rounds:
                 raise ConvergenceError(
                     f"renaming did not stabilize within {self.max_rounds} "
                     "rounds", iterations=rounds)
-            ids = self._redraw_round(graph, ids, namespace, tie_ids, rng)
+            redraw = self._redraw_mask(names, eu[clash], ev[clash], ties,
+                                       namespace)
+            names = _redraw_rows(csr, names, np.flatnonzero(redraw),
+                                 namespace, rng)
             rounds += 1
             redraw_rounds += 1
             if self.keep_history:
-                history.append(dict(ids))
-        return RenamingResult(ids=ids, rounds=rounds,
-                              redraw_rounds=redraw_rounds, stable=True,
-                              history=history)
+                history.append(dict(zip(nodes, names.tolist())))
+        return RenamingResult(ids=dict(zip(nodes, names.tolist())),
+                              rounds=rounds, redraw_rounds=redraw_rounds,
+                              stable=True, history=history)
 
-    def _redraw_round(self, graph, ids, namespace, tie_ids, rng):
+    def _tie_column(self, nodes, tie_ids):
+        """The checked normal identifiers, or ``None`` if unused."""
+        return None
+
+    def _redraw_mask(self, names, cu, cv, ties, namespace):
+        """Rows that re-draw, given the colliding edges ``(cu, cv)``."""
         raise NotImplementedError
+
+
+def _name_column(nodes, initial_ids):
+    """The checked int64 column of ``initial_ids``: integers (never
+    bools, which are no names of ``γ``) in the int64 range."""
+    if any(isinstance(name, (bool, np.bool_)) for name in initial_ids.values()):
+        raise ConfigurationError("initial_ids must be integers, not bools")
+    return id_column(nodes, initial_ids, "initial_ids")
+
+
+def _redraw_rows(csr, names, rows, namespace, rng):
+    """``names`` with each of ``rows`` (ascending) re-drawn outside its
+    neighbors' current names."""
+    updated = names.copy()
+    indptr, indices = csr.indptr, csr.indices
+    for row in rows.tolist():
+        neighbor_names = names[indices[indptr[row]:indptr[row + 1]]]
+        updated[row] = namespace.sample(rng, exclude=neighbor_names.tolist())
+    return updated
 
 
 class RandomizedRenaming(_RenamingBase):
@@ -144,15 +182,16 @@ class RandomizedRenaming(_RenamingBase):
 
     Matches the guarded command ``true -> Id_p := newId(Id_p)`` evaluated
     synchronously: a node keeps its name iff no cached neighbor name equals
-    it, else draws uniformly outside the cached names.
+    it, else draws uniformly outside the cached names.  ``newId`` also
+    replaces a name outside ``γ``, so in a round that re-draws at all,
+    such a node re-draws too.  Normal identifiers play no part.
     """
 
-    def _redraw_round(self, graph, ids, namespace, tie_ids, rng):
-        updated = {}
-        for node in graph:
-            neighbor_ids = [ids[q] for q in graph.neighbors(node)]
-            updated[node] = new_id(ids[node], neighbor_ids, namespace, rng)
-        return updated
+    def _redraw_mask(self, names, cu, cv, ties, namespace):
+        redraw = (names < 0) | (names >= namespace.size)
+        redraw[cu] = True
+        redraw[cv] = True
+        return redraw
 
 
 class PoliteRenaming(_RenamingBase):
@@ -160,14 +199,14 @@ class PoliteRenaming(_RenamingBase):
     re-draws ("the node with the smallest normal Id chooses another DAG Id
     and so on until every node has a different DAG Id than its neighbors")."""
 
-    def _redraw_round(self, graph, ids, namespace, tie_ids, rng):
-        updated = {}
-        for node in graph:
-            colliders = [q for q in graph.neighbors(node) if ids[q] == ids[node]]
-            must_redraw = any(tie_ids[node] < tie_ids[q] for q in colliders)
-            if must_redraw:
-                neighbor_ids = [ids[q] for q in graph.neighbors(node)]
-                updated[node] = namespace.sample(rng, exclude=neighbor_ids)
-            else:
-                updated[node] = ids[node]
-        return updated
+    def _tie_column(self, nodes, tie_ids):
+        if tie_ids is None:
+            tie_ids = dict(zip(nodes, nodes))
+        return id_column(nodes, tie_ids, "tie_ids")
+
+    def _redraw_mask(self, names, cu, cv, ties, namespace):
+        redraw = np.zeros(len(names), dtype=bool)
+        tu, tv = ties[cu], ties[cv]
+        redraw[cu[tu < tv]] = True
+        redraw[cv[tv < tu]] = True
+        return redraw

@@ -27,9 +27,10 @@ def artifact(tmp_path, name, means, extras=None):
 
 def full_means(scale=1.0, **overrides):
     means = {name: 0.010 * scale for name in gate.REQUIRED}
-    # Keep every structural floor satisfied by default (slow 5x fast).
-    for slow, _fast, _floor, _description in gate.SPEEDUP_FLOORS:
-        means[slow] = 0.050 * scale
+    # Keep every structural floor satisfied by default (slow at twice
+    # its floor, and at least 5x, over fast).
+    for slow, _fast, floor, _description in gate.SPEEDUP_FLOORS:
+        means[slow] = 0.010 * max(5.0, 2 * floor) * scale
     means.update(overrides)
     return means
 
@@ -74,6 +75,15 @@ class TestFloorsAndRegressions:
         baseline = artifact(tmp_path, "base.json", full_means())
         current = artifact(tmp_path, "current.json", means)
         assert gate.main([baseline, current]) == 1
+
+    def test_naming_floor_violation_fails(self, tmp_path, capsys):
+        means = full_means()
+        means["test_bench_assign_dag_ids_5000_reference"] = \
+            9 * means["test_bench_assign_dag_ids[5000]"]
+        baseline = artifact(tmp_path, "base.json", full_means())
+        current = artifact(tmp_path, "current.json", means)
+        assert gate.main([baseline, current]) == 1
+        assert "DAG naming speedup regressed" in capsys.readouterr().err
 
     def test_regression_over_threshold_fails(self, tmp_path, capsys):
         baseline = artifact(tmp_path, "base.json", full_means())

@@ -17,12 +17,21 @@ default; run it with ``pytest -m slow``).  On each graph:
   oracles;
 * ``route_batch`` over every ordered pair of ``build_hierarchy`` equals
   the per-request routing oracle.
+
+:func:`test_renaming_matches_oracle` checks the array renaming against
+the per-node naming oracle on the same graphs (both variants, a tight
+``γ = δ+2`` and the ``δ²`` space, fresh draws and corrupted
+``initial_ids``): equal names, histories, round counts and final
+generator state.  A hypothesis test repeats it on larger unit-disk
+graphs.
 """
 
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clustering.baselines import (
     degree_clustering,
@@ -31,11 +40,14 @@ from repro.clustering.baselines import (
 )
 from repro.clustering.density import all_densities
 from repro.clustering.oracle import clustering_from_keys, compute_clustering
-from repro.graph.generators import Topology
+from repro.graph.generators import Topology, uniform_topology
 from repro.graph.graph import Graph
 from repro.hierarchy.hierarchy import build_hierarchy
 from repro.hierarchy.routing import CachedRouter
 from repro.naming.assign import assign_dag_ids
+from repro.naming.namespace import NameSpace, recommended_size
+from repro.naming.renaming import PoliteRenaming, RandomizedRenaming
+from repro.util.errors import ConfigurationError, ConvergenceError
 from repro.workload.generators import Request
 from tests.oracles.baselines import (
     degree_clustering_reference,
@@ -51,10 +63,13 @@ from tests.oracles.metrics import (
     head_eccentricity_reference,
     tree_length_reference,
 )
+from tests.oracles.naming import renaming_reference
 from tests.oracles.routing import ReferenceRouter
 
 CONFIGS = [(order, fusion) for order in ("basic", "incumbent")
            for fusion in (False, True)]
+
+RENAMERS = {"randomized": RandomizedRenaming, "polite": PoliteRenaming}
 
 
 def labeled_graphs(n):
@@ -155,3 +170,62 @@ def test_every_graph_on_six_nodes():
         check_graph(6, mask, graph)
         count += 1
     assert count == 32_768
+
+
+def _outcome(run, seed):
+    """``(result fields, final generator state)`` or the raised error."""
+    rng = np.random.default_rng(seed)
+    try:
+        result = run(rng)
+    except (ConfigurationError, ConvergenceError) as error:
+        # Both sides must fail alike.
+        return type(error), str(error), rng.bit_generator.state
+    return (list(result.ids.items()), result.rounds, result.redraw_rounds,
+            result.history, rng.bit_generator.state)
+
+
+def check_renaming(graph, seed):
+    """Both renaming variants equal the naming oracle on ``graph``."""
+    n = len(graph)
+    delta = graph.max_degree()
+    tie_ids = dict(zip(graph.nodes,
+                       np.random.default_rng([*seed, 1]).permutation(n)
+                       .tolist()))
+    for size in sorted({delta + 2, recommended_size(delta)}):
+        namespace = NameSpace(size)
+        # Corrupted start: duplicates plus names just outside γ.
+        corrupted = dict(zip(graph.nodes,
+                             np.random.default_rng([*seed, size])
+                             .integers(-1, size + 1, size=n).tolist()))
+        for variant, renamer in RENAMERS.items():
+            for initial in (None, corrupted):
+                fast = _outcome(
+                    lambda rng: renamer(namespace=namespace,
+                                        keep_history=True).run(
+                        graph, rng=rng, initial_ids=initial,
+                        tie_ids=tie_ids),
+                    seed)
+                oracle = _outcome(
+                    lambda rng: renaming_reference(
+                        graph, variant, rng=rng, namespace=namespace,
+                        initial_ids=initial, tie_ids=tie_ids,
+                        keep_history=True),
+                    seed)
+                assert fast == oracle
+
+
+def test_renaming_matches_oracle():
+    count = 0
+    for n in range(1, 6):
+        for mask, graph in labeled_graphs(n):
+            check_renaming(graph, [n, mask])
+            count += 1
+    assert count == 1_099
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 300), radius=st.floats(0.05, 0.4),
+       seed=st.integers(0, 2**32 - 1))
+def test_renaming_matches_oracle_on_udgs(n, radius, seed):
+    graph = uniform_topology(n, radius, rng=seed).graph
+    check_renaming(graph, [seed, n])

@@ -1,5 +1,6 @@
 """Tests for algorithm N1 and the polite renaming variant."""
 
+import numpy as np
 import pytest
 
 from repro.naming.namespace import NameSpace
@@ -77,6 +78,22 @@ class TestRandomizedRenaming:
         with pytest.raises(ConfigurationError):
             RandomizedRenaming().run(topo.graph, rng=rng, initial_ids={0: 1})
 
+    @pytest.mark.parametrize("bad", [1.0, "1", None, True, 2**70])
+    @pytest.mark.parametrize("renamer", [RandomizedRenaming, PoliteRenaming])
+    def test_non_integer_initial_ids_rejected(self, rng, renamer, bad):
+        topo = line_topology(3)
+        with pytest.raises(ConfigurationError, match="initial_ids"):
+            renamer().run(topo.graph, rng=rng,
+                          initial_ids={0: 1, 1: bad, 2: 3})
+
+    def test_names_outside_namespace_redraw_with_a_conflict(self, rng):
+        # newId replaces a name outside γ in any round that re-draws.
+        topo = line_topology(4)
+        result = RandomizedRenaming(namespace=NameSpace(10)).run(
+            topo.graph, rng=rng, initial_ids={0: 5, 1: 5, 2: 2, 3: 99})
+        assert result.redraw_rounds >= 1
+        assert all(name in NameSpace(10) for name in result.ids.values())
+
     def test_convergence_budget_enforced(self, rng):
         # Namespace of exactly delta+1 on a complete graph: legal but slow;
         # a budget of 1 round cannot possibly resolve an all-zero start.
@@ -132,3 +149,50 @@ class TestPoliteRenaming:
                                       tie_ids=topo.ids)
         unchanged = sum(second.ids[n] == corrupted[n] for n in topo.graph)
         assert unchanged >= len(topo.graph) - 4
+
+
+class TestInitialDrawStream:
+    """The renaming's initial draw is one ``rng.integers(|γ|, size=n)``
+    call; it must stay the same stream as ``n`` scalar draws, generator
+    state included, or every seeded name and digest drifts."""
+
+    DELTA = 37
+
+    @pytest.mark.parametrize("size", [1, DELTA + 2, DELTA ** 2, 2**33 + 5])
+    @pytest.mark.parametrize("n", [0, 1, 1000])
+    def test_vector_draw_equals_scalar_draws(self, size, n):
+        vector_rng = np.random.default_rng(2024)
+        scalar_rng = np.random.default_rng(2024)
+        # Leave a half-used 32-bit buffer in both generators first.
+        vector_rng.integers(10)
+        scalar_rng.integers(10)
+        vector = vector_rng.integers(size, size=n)
+        scalar = [int(scalar_rng.integers(size)) for _ in range(n)]
+        assert vector.dtype == np.int64
+        assert vector.tolist() == scalar
+        assert (vector_rng.bit_generator.state
+                == scalar_rng.bit_generator.state)
+
+
+class TestTieIds:
+    def test_equal_tie_ids_never_redraw(self, rng):
+        # Neither endpoint of a tie is "smaller": the conflict persists.
+        topo = line_topology(2)
+        renamer = PoliteRenaming(namespace=NameSpace(5), max_rounds=3)
+        with pytest.raises(ConvergenceError):
+            renamer.run(topo.graph, rng=rng, initial_ids={0: 1, 1: 1},
+                        tie_ids={0: 4, 1: 4})
+
+    def test_tie_ids_decide_who_redraws(self, rng):
+        topo = line_topology(2)
+        result = PoliteRenaming(namespace=NameSpace(50)).run(
+            topo.graph, rng=rng, initial_ids={0: 7, 1: 7},
+            tie_ids={0: 9, 1: 3})
+        assert result.ids[0] == 7
+        assert result.ids[1] != 7
+
+    def test_non_integer_tie_ids_rejected(self, rng):
+        topo = line_topology(2)
+        with pytest.raises(ConfigurationError, match="tie_ids"):
+            PoliteRenaming().run(topo.graph, rng=rng,
+                                 tie_ids={0: "a", 1: "b"})
