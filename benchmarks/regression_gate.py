@@ -82,6 +82,8 @@ REQUIRED = [
     "test_bench_clustering_window_100k",
     "test_bench_route_batch_1m",
     "test_bench_route_stretch_1m",
+    "test_bench_table4",
+    "test_bench_table5",
     CALIBRATION,
 ]
 
@@ -133,6 +135,9 @@ SPEEDUP_FLOORS = [
     ("test_bench_assign_dag_ids_5000_reference",
      "test_bench_assign_dag_ids[5000]",
      10.0, "5000-node array DAG naming speedup"),
+    ("test_bench_all_densities_dict_loop_5000_reference",
+     "test_bench_all_densities_cold[5000]",
+     10.0, "5000-node CSR exact densities speedup"),
 ]
 
 

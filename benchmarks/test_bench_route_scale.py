@@ -21,6 +21,10 @@ keys the regression gate requires:
   through a small hot set so the LRU flat cache amortizes them the way
   ``flat_every`` sampling does in the workload experiment.
 
+A third bench times exact densities at 10^6 nodes on the same graph:
+``all_densities(exact=True)`` over a fresh snapshot of the deployment's
+CSR arrays (cold triangle memo), recording ``nodes_per_sec``.
+
 Everything is a pure function of the module seeds, so the hop total is
 asserted stable shape-wise (routes exist, hops positive) rather than
 re-derived here.
@@ -31,6 +35,7 @@ import pytest
 
 from repro.clustering.density import all_densities
 from repro.clustering.incremental import IncrementalElection
+from repro.graph.csr import CSRAdjacency
 from repro.graph.generators import Topology
 from repro.graph.geometry import unit_disk_graph
 from repro.hierarchy.hierarchy import Hierarchy, HierarchyLevel
@@ -125,3 +130,25 @@ def test_bench_route_stretch_1m(benchmark, deployment):
     assert len(samples) == STRETCH_SAMPLES
     benchmark.extra_info["stretch_samples_per_sec_1m"] = (
         STRETCH_SAMPLES / benchmark.stats.stats.mean)
+
+
+def test_bench_all_densities_1m(benchmark, deployment):
+    graph = deployment.physical.topology.graph
+    original = graph.to_csr()
+
+    def fresh_snapshot():
+        # Same arrays, no triangle memo: the densities count from scratch.
+        graph.adopt_csr(CSRAdjacency(original.indptr, original.indices,
+                                     original.ids))
+        return (graph,), {"exact": True}
+
+    try:
+        densities = benchmark.pedantic(all_densities, setup=fresh_snapshot,
+                                       rounds=1, iterations=1)
+    finally:
+        graph.adopt_csr(original)
+    assert len(densities) == COUNT
+    assert np.array_equal(densities.float_image(),
+                          deployment.physical.clustering.densities.float_image())
+    benchmark.extra_info["nodes_per_sec"] = (
+        COUNT / benchmark.stats.stats.mean)

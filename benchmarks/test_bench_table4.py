@@ -7,7 +7,7 @@ from repro.experiments.table4 import run_table4
 def test_bench_table4(benchmark, show, jobs):
     preset = get_preset("quick", runs=5)
     table = benchmark.pedantic(lambda: run_table4(preset, rng=2024, jobs=jobs),
-                               rounds=1, iterations=1)
+                               rounds=3, iterations=1)
     show(table)
     clusters = table.column("#clusters")
     # Shape: cluster count decreases with R; DAG on/off indistinguishable.

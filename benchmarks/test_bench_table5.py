@@ -7,7 +7,7 @@ from repro.experiments.table5 import run_table5
 def test_bench_table5(benchmark, show, jobs):
     preset = get_preset("quick", runs=5)
     table = benchmark.pedantic(lambda: run_table5(preset, rng=2024, jobs=jobs),
-                               rounds=1, iterations=1)
+                               rounds=3, iterations=1)
     show(table)
     rows = {(row[0], row[1]): row for row in table.rows}
     for radius in (0.05, 0.08, 0.1):

@@ -14,15 +14,19 @@ CSR snapshot (:meth:`~repro.graph.graph.Graph.to_csr`) with vectorized
 sorted-adjacency intersections, so the 1000-10000-node evaluation
 workloads run at array speed; the snapshot (and its memoized triangle
 counts) is reused across calls until the graph mutates.  Densities are
-ratios of integers, so the ``exact=True`` path rebuilds the same
-:class:`~fractions.Fraction` values from the integer triangle counts that
-a per-edge scan computes; the test suite keeps that dict-backend scan as
-the oracle (``tests/oracles/density.py``).
+ratios of integers, so the ``exact=True`` path carries them as the
+snapshot's ``(degree, triangles)`` int arrays behind a read-only
+:class:`ExactDensities` mapping: each :class:`~fractions.Fraction` is
+built only when a caller reads it, equal to the value a per-edge scan
+computes, and the election reads the float image of the arrays
+directly.  The test suite keeps that dict-backend scan as the oracle
+(``tests/oracles/density.py``).
 
 Isolated nodes have ``|Np| = 0``; Definition 1 is then undefined and this
 module defines their density as ``0.0`` (DESIGN.md, deviation 2).
 """
 
+from collections.abc import Mapping
 from fractions import Fraction
 
 import numpy as np
@@ -115,25 +119,79 @@ def edges_among(graph, nodes):
     return count
 
 
+class ExactDensities(Mapping):
+    """Read-only ``{node: Fraction}`` exact densities over integer arrays.
+
+    Holds a CSR snapshot's ``degrees()`` and ``triangle_counts()`` and
+    iterates in the snapshot's ``ids`` order; ``densities[node]`` builds
+    ``Fraction(deg + tri, deg)`` (``Fraction(0)`` for isolated nodes) on
+    each read, so a million-node map costs two int arrays rather than a
+    dict of Fractions.  Compares ``==`` to the equivalent plain dict and
+    pickles as the arrays.  ``snapshot`` is the CSR the arrays came from
+    (``None`` after unpickling); consumers that hold the same snapshot
+    may take :meth:`float_image` instead of converting node by node.
+    """
+
+    __slots__ = ("snapshot", "ids", "_degrees", "_triangles", "_index_of")
+
+    def __init__(self, ids, degrees, triangles, snapshot=None):
+        self.snapshot = snapshot
+        self.ids = tuple(ids)
+        self._degrees = degrees
+        self._triangles = triangles
+        self._index_of = None
+
+    def __reduce__(self):
+        return (type(self), (self.ids, self._degrees, self._triangles))
+
+    def _rows(self):
+        if self._index_of is None:
+            self._index_of = (
+                {node: i for i, node in enumerate(self.ids)}
+                if self.snapshot is None else self.snapshot.index_of)
+        return self._index_of
+
+    def __getitem__(self, node):
+        row = self._rows()[node]
+        deg = int(self._degrees[row])
+        if not deg:
+            return Fraction(0)
+        return Fraction(deg + int(self._triangles[row]), deg)
+
+    def __contains__(self, node):
+        return node in self._rows()
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self):
+        return len(self.ids)
+
+    def float_image(self):
+        """Every density as float64, in ``ids`` order (a fresh array)."""
+        return density_float_image(self._degrees, self._triangles)
+
+    def __repr__(self):
+        return f"ExactDensities(n={len(self.ids)})"
+
+
 def all_densities(graph, exact=False):
     """Density of every node, via CSR triangle counting.
 
-    Returns ``dict[node, value]`` (insertion order) where values are
-    ``float`` (default) or :class:`~fractions.Fraction` (``exact=True``).
-    Equivalent to calling :func:`density` per node but vectorized: the
-    frozen CSR snapshot counts every triangle with bulk sorted-adjacency
+    Returns ``dict[node, float]`` (insertion order), or with
+    ``exact=True`` a read-only :class:`ExactDensities` mapping of
+    :class:`~fractions.Fraction` values in the same order.  Equivalent to
+    calling :func:`density` per node but vectorized: the frozen CSR
+    snapshot counts every triangle with bulk sorted-adjacency
     intersections, and ``deg + triangles`` over ``deg`` is formed per node
     from those integers -- bit-identical to the per-edge oracle on both the
     exact and the float path (both divide the same machine integers).
     """
     csr = graph.to_csr()
-    degrees = csr.degrees()
-    triangles = csr.triangle_counts()
     if exact:
-        return {node: Fraction(deg + tri, deg) if deg else Fraction(0)
-                for node, deg, tri
-                in zip(csr.ids, degrees.tolist(), triangles.tolist())}
-    values = density_float_image(degrees, triangles)
+        return ExactDensities(csr.ids, csr.degrees(), csr.triangle_counts(),
+                              snapshot=csr)
+    values = density_float_image(csr.degrees(), csr.triangle_counts())
     return dict(zip(csr.ids, values.tolist()))
 
 

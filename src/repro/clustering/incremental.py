@@ -48,7 +48,7 @@ points against it, exhaustively on every graph of up to six nodes.
 
 import numpy as np
 
-from repro.clustering.density import all_densities, float_tie_mask
+from repro.clustering.density import ExactDensities, all_densities, float_tie_mask
 from repro.clustering.engine import ClusteringEngine, register_engine
 from repro.clustering.order import BasicOrder, IncumbentOrder, NodeView, make_order
 from repro.clustering.result import Clustering
@@ -92,8 +92,10 @@ def id_column(ids, mapping, what, unique=False):
     ):
         raise ConfigurationError(f"{what} must be integers in the int64 range")
     column = column.astype(np.int64)
-    if unique and np.unique(column).size != column.size:
-        raise ConfigurationError(f"{what} must be globally unique")
+    if unique:
+        ordered = np.sort(column)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ConfigurationError(f"{what} must be globally unique")
     return column
 
 
@@ -201,9 +203,14 @@ class IncrementalElection(ClusteringEngine):
             dag_changed = True
 
         if density_changed is None:
-            self._density = np.fromiter(
-                (float(densities[node]) for node in ids), dtype=np.float64, count=n
-            )
+            if isinstance(densities, ExactDensities) and densities.snapshot is csr:
+                self._density = densities.float_image()
+            else:
+                self._density = np.fromiter(
+                    (float(densities[node]) for node in ids),
+                    dtype=np.float64,
+                    count=n,
+                )
             self._tied = None
             self._refine = None
         elif density_changed:

@@ -24,6 +24,7 @@ as oracles (``tests/oracles/metrics.py``).
 
 import numpy as np
 
+from repro.clustering.density import ExactDensities
 from repro.graph.traversal import csr_multi_source_distances, resolve_forest
 from repro.util.errors import TopologyError
 
@@ -35,7 +36,11 @@ class Clustering:
                  order_name=None, fusion=False):
         self.graph = graph
         self.parents = dict(parents)
-        self.densities = dict(densities) if densities is not None else None
+        # Array-backed exact densities are immutable: kept as-is.  Any
+        # other map is copied, since its owner may keep mutating it.
+        if densities is not None and not isinstance(densities, ExactDensities):
+            densities = dict(densities)
+        self.densities = densities
         self.dag_ids = dict(dag_ids) if dag_ids is not None else None
         self.order_name = order_name
         self.fusion = fusion
@@ -53,12 +58,32 @@ class Clustering:
     # ------------------------------------------------------------------
 
     def _validate_parents(self):
-        if set(self.parents) != set(self.graph.nodes):
+        """Every parent is the node itself or one of its neighbors.
+
+        All links are checked at once on the CSR snapshot, whose directed
+        edge keys ``row * n + col`` ascend, so one ``searchsorted`` finds
+        them; the first offender in ``parents`` order is named.
+        """
+        csr = self.graph.to_csr()
+        index_of = csr.index_of
+        parents = self.parents
+        n = len(index_of)
+        if len(parents) != n or not all(node in index_of for node in parents):
             raise TopologyError("parents must cover exactly the graph's nodes")
-        for node, parent in self.parents.items():
-            if parent != node and not self.graph.has_edge(node, parent):
-                raise TopologyError(
-                    f"parent of {node!r} is {parent!r}, which is not a neighbor")
+        rows = np.fromiter(map(index_of.__getitem__, parents), np.int64, n)
+        cols = np.fromiter((index_of.get(parent, -1)
+                            for parent in parents.values()), np.int64, n)
+        # A trailing key above every probe keeps each search in range.
+        keys = np.append(np.repeat(np.arange(n, dtype=np.int64),
+                                   csr.degrees()) * n + csr.indices, n * n)
+        probe = rows * n + cols
+        linked = keys[np.searchsorted(keys, probe)] == probe
+        bad = np.flatnonzero((rows != cols) & ((cols < 0) | ~linked))
+        if bad.size:
+            node = list(parents)[int(bad[0])]
+            raise TopologyError(
+                f"parent of {node!r} is {parents[node]!r}, which is not a "
+                "neighbor")
 
     def _resolve_heads(self):
         """Follow parent links to the root of each tree, detecting cycles."""

@@ -1,11 +1,11 @@
 """Frozen compressed-sparse-row adjacency snapshots.
 
-The mutable :class:`~repro.graph.graph.Graph` stores adjacency as
-``dict[node, set[node]]``, which is the right shape for the incremental
-edge churn of the protocol simulations but the wrong shape for the bulk
-analytics the evaluation workloads run (Definition-1 densities over every
-node, degree vectors, whole-edge sweeps).  :class:`CSRAdjacency` is the
-read-only array view used by those paths:
+The mutable :class:`~repro.graph.graph.Graph` keeps a
+``dict[node, set[node]]`` adjacency for the incremental edge churn of the
+protocol simulations -- the wrong shape for the bulk analytics the
+evaluation workloads run (Definition-1 densities over every node, degree
+vectors, whole-edge sweeps).  :class:`CSRAdjacency` is the read-only
+array view used by those paths:
 
 * ``indptr`` / ``indices`` are the standard CSR arrays (``int32``), with
   each row's neighbor indices **sorted ascending** -- the invariant the
@@ -19,18 +19,20 @@ read-only array view used by those paths:
 
 Snapshots are built either from the dict backend
 (:meth:`CSRAdjacency.from_dict`, used by ``Graph.to_csr``) or directly
-from a canonical undirected pair array
-(:meth:`CSRAdjacency.from_pairs`, used by ``Graph.from_pair_array`` so
-bulk-built graphs get their snapshot almost for free).
+from a canonical undirected pair array (:meth:`CSRAdjacency.from_pairs`,
+used by the bulk builders ``Graph.from_pair_array`` and
+``Graph.from_pair_chunks``, whose graphs carry only the snapshot until a
+caller needs the dict).
 """
 
 import numpy as np
 
 from repro.util.errors import TopologyError
 
-# Expanded-candidate budget for the chunked triangle intersection; bounds
-# peak memory at a few tens of MB regardless of graph size.
-_TRIANGLE_CHUNK = 2_000_000
+# Expanded-candidate budget for the chunked triangle intersection.  It
+# bounds the per-chunk scratch at a few MB regardless of graph size, and
+# keeps each chunk's probes and searched key slice cache-resident.
+_TRIANGLE_CHUNK = 65_536
 
 
 class CSRAdjacency:
@@ -169,102 +171,102 @@ class CSRAdjacency:
         """Per-node triangle counts, memoized.
 
         A node's triangle count is the number of edges among its
-        neighbors -- exactly the extra links of Definition 1.  Edges are
-        oriented toward the higher degree-rank endpoint, so each triangle
-        is found exactly once, as the forward-forward intersection of its
-        lowest-ranked edge; the triangle then credits all three corners.
-        Candidates are bulk-expanded from the smaller forward list with
-        one ``repeat``; membership in the other endpoint's forward list
-        is tested in O(1) against a boolean mark vector shared by all
-        edges probing the same endpoint (edges are sorted so those are
-        consecutive).  The expansion is chunked to a fixed memory budget.
+        neighbors -- exactly the extra links of Definition 1.  Nodes are
+        ranked by degree (ties by index) and each edge is oriented from
+        its lower-ranked endpoint ``a`` to its higher-ranked endpoint
+        ``b``; the forward rows list their neighbors in ascending rank.
+        A triangle ``a < b < c`` is then found exactly once, at edge
+        ``(a, b)``: ``c`` lies both in row ``a`` after ``b`` and in row
+        ``b``.  Each edge expands the smaller of those two candidate
+        lists with one ``repeat`` and probes the other row: membership
+        is one ``searchsorted`` per chunk of the keys ``row * n +
+        candidate`` against the forward edges' keys, which ascend.
+        Edges are grouped by probed row, so a chunk searches only its
+        probed rows' slice of the keys.  The expansion is chunked to a
+        fixed candidate budget; rows and columns stay ``int32``, so only
+        the keys are ``int64``.
         """
         if self._triangles is not None:
             return self._triangles
         n = len(self.ids)
         degrees = self.degrees()
-        col = self.indices
-        row = np.repeat(np.arange(n, dtype=np.int32), degrees)
-        # Degree-ascending rank (ties by index): orienting every edge
-        # toward the higher rank makes each triangle appear exactly once,
-        # as the forward-forward intersection of its lowest-ranked edge.
         rank_of = np.empty(n, dtype=np.int32)
         rank_of[np.lexsort((np.arange(n), degrees))] = np.arange(
             n, dtype=np.int32)
-        forward = rank_of[col] > rank_of[row]
-        eu = row[forward].astype(np.int64)
-        ev = col[forward].astype(np.int64)
-        if not eu.size:
-            tri = np.zeros(n, dtype=np.int64)
-            tri.flags.writeable = False
-            object.__setattr__(self, "_triangles", tri)
-            return tri
-        # Forward adjacency: rows of `fcol` grouped by source (eu is
-        # already ascending), neighbors unsorted -- the bitmap probe below
-        # does not need them sorted.
-        fdeg = np.bincount(eu, minlength=n)
-        findptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(fdeg, out=findptr[1:])
-        fcol = ev.astype(np.int32)
-        # Candidates come from the endpoint with the smaller forward list;
-        # the other endpoint's forward list is the probed set.  Grouping
-        # edges by the probed endpoint lets one boolean mark vector serve
-        # every test against it.
-        take_v = fdeg[ev] < fdeg[eu]
-        small = np.where(take_v, ev, eu)
-        other = np.where(take_v, eu, ev)
-        order = np.argsort(other, kind="stable")
-        small = small[order]
-        other = other[order]
-        eu = eu[order]
-        ev = ev[order]
-        counts = fdeg[small]
-        cum = np.zeros(small.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=cum[1:])
-        mark = np.zeros(n, dtype=bool)
-        corner_hits = []
-        edge_hits = np.zeros(small.size, dtype=np.int64)
-        start = 0
-        while start < small.size:
-            end = int(np.searchsorted(cum, cum[start] + _TRIANGLE_CHUNK,
-                                      side="right")) - 1
-            end = min(max(end, start + 1), small.size)
-            chunk_counts = counts[start:end]
-            total = int(cum[end] - cum[start])
-            if total:
-                local = cum[start:end] - cum[start]
-                offsets = (np.arange(total, dtype=np.int64)
-                           - np.repeat(local, chunk_counts))
-                w = fcol[np.repeat(findptr[small[start:end]], chunk_counts)
-                         + offsets]
-                chunk_other = other[start:end]
-                group_edges = np.flatnonzero(
-                    np.r_[True, chunk_other[1:] != chunk_other[:-1]])
-                group_bounds = np.r_[local[group_edges], total].tolist()
-                probed = chunk_other[group_edges].tolist()
-                hit_mask = np.empty(total, dtype=bool)
-                for o, lo, hi in zip(probed, group_bounds, group_bounds[1:]):
-                    nbrs = fcol[findptr[o]:findptr[o + 1]]
-                    mark[nbrs] = True
-                    cand = w[lo:hi]
-                    hit_mask[lo:hi] = mark[cand]
-                    mark[nbrs] = False
-                hit_at = np.flatnonzero(hit_mask)
-                corner_hits.append(w[hit_at])
-                # Per-edge triangle tallies credit the two edge endpoints.
-                edge_hits[start:end] = np.diff(
-                    np.searchsorted(hit_at, np.append(local, total)))
-            start = end
+        ru = np.repeat(rank_of, degrees)
+        rv = rank_of[self.indices]
+        forward = ru < rv
+        # Forward keys in rank space, sorted: rows ascend, and so do the
+        # columns within a row.
+        fkeys = np.sort(ru[forward].astype(np.int64) * n + rv[forward])
+        del ru, rv, forward
         tri = np.zeros(n, dtype=np.int64)
-        flat = np.concatenate(corner_hits) if corner_hits else eu[:0]
-        if flat.size:
-            tri += np.bincount(flat, minlength=n)
-        closed = np.flatnonzero(edge_hits)
-        if closed.size:
-            tri += np.bincount(eu[closed], weights=edge_hits[closed],
-                               minlength=n).astype(np.int64)
-            tri += np.bincount(ev[closed], weights=edge_hits[closed],
-                               minlength=n).astype(np.int64)
+        if fkeys.size:
+            eu = (fkeys // n).astype(np.int32)
+            ev = (fkeys % n).astype(np.int32)
+            # One key above every probe, so that a search past a chunk's
+            # last probed row still lands on a key.
+            fkeys = np.append(fkeys, n * n)
+            fdeg = np.bincount(eu, minlength=n).astype(np.int32)
+            findptr = np.zeros(n + 1, dtype=np.int32)
+            np.cumsum(fdeg, out=findptr[1:])
+            # Edge (a, b) at forward position p: row a after b spans
+            # p + 1 .. findptr[a + 1]; row b spans findptr[b] onward.
+            pos = np.arange(eu.size, dtype=np.int32)
+            tail = findptr[eu + 1] - pos - 1
+            take_tail = tail <= fdeg[ev]
+            first = np.where(take_tail, pos + 1, findptr[ev])
+            counts = np.where(take_tail, tail, fdeg[ev])
+            probed = np.where(take_tail, ev, eu)
+            del pos, tail, take_tail
+            # Group edges by probed row: a chunk then probes a contiguous
+            # run of forward rows.
+            order = np.argsort(probed, kind="stable")
+            first = first[order]
+            counts = counts[order]
+            probed = probed[order]
+            ends = (eu[order], ev[order])
+            del order, eu
+            cum = np.zeros(counts.size + 1, dtype=np.int64)
+            np.cumsum(counts, out=cum[1:])
+            corner_hits = []
+            edge_hits = np.zeros(counts.size, dtype=np.int64)
+            start = 0
+            while start < counts.size:
+                end = int(np.searchsorted(cum, cum[start] + _TRIANGLE_CHUNK,
+                                          side="right")) - 1
+                end = min(max(end, start + 1), counts.size)
+                chunk_counts = counts[start:end]
+                total = int(cum[end] - cum[start])
+                if total:
+                    local = cum[start:end] - cum[start]
+                    # Candidate k of edge e sits at forward position
+                    # first[e] + k - local[e].
+                    at = np.repeat(first[start:end] - local, chunk_counts)
+                    at += np.arange(total, dtype=np.int64)
+                    w = ev[at]
+                    probe = np.repeat(probed[start:end].astype(np.int64) * n,
+                                      chunk_counts)
+                    probe += w
+                    # Only the probed rows' keys can match.
+                    keys = fkeys[findptr[probed[start]]:
+                                 findptr[probed[end - 1] + 1] + 1]
+                    hit_at = np.flatnonzero(
+                        keys[np.searchsorted(keys, probe)] == probe)
+                    corner_hits.append(w[hit_at])
+                    # Per-edge triangle tallies credit the two edge endpoints.
+                    edge_hits[start:end] = np.diff(
+                        np.searchsorted(hit_at, np.append(local, total)))
+                start = end
+            if corner_hits:
+                tri += np.bincount(np.concatenate(corner_hits), minlength=n)
+            closed = np.flatnonzero(edge_hits)
+            if closed.size:
+                for end_rows in ends:
+                    tri += np.bincount(end_rows[closed],
+                                       weights=edge_hits[closed],
+                                       minlength=n).astype(np.int64)
+            tri = tri[rank_of]
         tri.flags.writeable = False
         object.__setattr__(self, "_triangles", tri)
         return tri

@@ -596,7 +596,8 @@ class DynamicTopology:
             # repro.graph at package level, so binding at call time
             # avoids the cycle.
             from repro.clustering.density import all_densities
-            self.densities = all_densities(self.graph, exact=True)
+            # A mutable copy: _refresh_densities rewrites entries in place.
+            self.densities = dict(all_densities(self.graph, exact=True))
         else:
             # Consumers that never read densities (the baseline engines)
             # skip the triangle counter and the Fraction refreshes; the

@@ -7,17 +7,20 @@ that model directly, with the symmetry invariant enforced on every mutation.
 
 Two construction regimes coexist:
 
-* incremental (``add_node`` / ``add_edge``), for the protocol simulations
-  that churn single edges;
-* bulk (``add_edges_from`` / ``from_pair_array``), for the evaluation
-  workloads that ingest the whole ``pairs_within_range`` array at once --
-  adjacency sets are filled per *node* with vectorized grouping, never
-  per edge, and self-loop rejection plus the symmetry invariant hold
-  exactly as on the incremental path;
-* streamed (``from_pair_chunks``), for million-node builds: only compact
-  ``int32`` pair arrays are accumulated and the dict adjacency is
-  materialized *lazily* from the CSR snapshot on first dict-shaped
-  access, so read-only consumers never pay for per-node Python sets.
+* incremental (``add_node`` / ``add_edge`` / ``add_edges_from``), for
+  the protocol simulations that churn single edges: adjacency lives in
+  ``dict[node, set[node]]``, the shape incremental mutation needs, with
+  self-loop rejection and the symmetry invariant enforced per edge;
+* bulk (``from_pair_array`` / ``from_pair_chunks``), for the evaluation
+  workloads that ingest a whole ``pairs_within_range`` array (or its
+  streamed chunks) at once: the result carries only the CSR snapshot,
+  and the dict adjacency is materialized *lazily* on first dict-shaped
+  access, so read-only consumers (the paper's whole Table 4 path) never
+  pay for per-node Python sets.  Materialization inserts each node's
+  neighbors in ascending row order -- the order a pair-by-pair
+  ``add_edge`` loop over the canonical ``(lo, hi)``-sorted pairs would
+  produce -- so set iteration order, ``edges`` order and everything
+  downstream are independent of when (or whether) it happens.
 
 ``to_csr`` exposes a frozen :class:`~repro.graph.csr.CSRAdjacency`
 snapshot for array-speed analytics; it is built on first use, cached, and
@@ -42,9 +45,11 @@ from repro.util.errors import TopologyError
 class Graph:
     """An undirected graph over hashable node identifiers.
 
-    Adjacency is stored as ``dict[node, set[node]]``.  Self-loops are
-    rejected (the paper requires ``p not in Np``) and edges are always
-    symmetric (``q in Np  iff  p in Nq``), on the incremental and the bulk
+    Incrementally built graphs store adjacency as
+    ``dict[node, set[node]]``; bulk-built graphs hold only a CSR snapshot
+    until the first dict-shaped access.  Self-loops are rejected (the
+    paper requires ``p not in Np``) and edges are always symmetric
+    (``q in Np  iff  p in Nq``), on the incremental and the bulk
     construction paths alike.
     """
 
@@ -73,22 +78,25 @@ class Graph:
     def _materialize_adj(self):
         """Build the dict adjacency from the CSR snapshot (lazy graphs).
 
-        Graphs built by :meth:`from_pair_chunks` -- and graphs attached
-        from a shared-memory snapshot -- carry only the CSR arrays until a
-        caller needs dict semantics.  Neighbor sets are filled in
-        ascending index order: identical *contents* to the eager path,
-        though not necessarily the same set iteration order.
+        Bulk-built graphs -- and graphs attached from a shared-memory
+        snapshot -- carry only the CSR arrays until a caller needs dict
+        semantics.  Each neighbor set is filled in ascending row order,
+        the insertion sequence of an ``add_edge`` loop over the
+        ``(lo, hi)``-sorted canonical pairs, so iteration order matches
+        an incrementally built graph over those pairs.
         """
         csr = self._csr
         if csr is None:
             raise TopologyError("lazy graph has no CSR snapshot to materialize")
         ids = csr.ids
-        indptr = csr.indptr.tolist()
+        bounds = csr.indptr.tolist()
         flat = csr.indices.tolist()
-        adj = {}
-        for i, node in enumerate(ids):
-            adj[node] = {ids[j] for j in flat[indptr[i] : indptr[i + 1]]}
-        self._adj_map = adj
+        if ids != tuple(range(len(ids))):
+            flat = [ids[j] for j in flat]
+        self._adj_map = {
+            node: set(flat[start:stop])
+            for node, start, stop in zip(ids, bounds, bounds[1:])
+        }
 
     # ------------------------------------------------------------------
     # construction
@@ -142,7 +150,20 @@ class Graph:
             lo, hi = lo[order], hi[order]
             for node in np.unique(edges).tolist():
                 self.add_node(node)
-            self._bulk_merge(lo, hi, None)
+            # Each set receives its neighbors smaller-endpoint-first in
+            # pair order: the insertion sequence of an add_edge loop over
+            # the sorted pairs, so iteration order matches that loop.
+            src = np.concatenate((hi, lo))
+            dst = np.concatenate((lo, hi))
+            order = np.argsort(src, kind="stable")
+            src = src[order]
+            dst = dst[order].tolist()
+            starts = np.flatnonzero(np.r_[True, src[1:] != src[:-1]])
+            adj = self._adj
+            for owner, s, e in zip(src[starts].tolist(), starts.tolist(),
+                                   starts[1:].tolist() + [len(dst)]):
+                adj[owner].update(dst[s:e])
+            self._csr = None
         else:
             for u, v in edges:
                 self.add_edge(u, v)
@@ -157,19 +178,11 @@ class Graph:
         mapping position -> identifier, whose length fixes ``n`` so
         isolated nodes are preserved.  Pairs are canonicalized and
         deduplicated; self-loops and out-of-range positions raise
-        :class:`TopologyError`.  The CSR snapshot is built as a by-product
-        and cached, so a following :meth:`to_csr` is free.
+        :class:`TopologyError`.  Only the CSR snapshot is built; the dict
+        adjacency is materialized lazily, as for :meth:`from_pair_chunks`.
         """
-        if isinstance(node_ids, (int, np.integer)):
-            n = int(node_ids)
-            ids = range(n)
-            identity = True
-        else:
-            ids = list(node_ids)
-            n = len(ids)
-            if len(set(ids)) != n:
-                raise TopologyError("node identifiers must be unique")
-            identity = False
+        ids = _node_ids(node_ids)
+        n = len(ids)
         pairs = np.asarray(pairs)
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2).astype(np.int64)
@@ -177,7 +190,6 @@ class Graph:
             raise TopologyError("pairs must be an (m, 2) array")
         if not np.issubdtype(pairs.dtype, np.integer):
             raise TopologyError("pairs must contain integer positions")
-        graph = cls(nodes=ids)
         if len(pairs):
             if int(pairs.min()) < 0 or int(pairs.max()) >= n:
                 raise TopologyError(
@@ -189,13 +201,15 @@ class Graph:
                 pos = int(lo[int(np.argmax(lo == hi))])
                 raise TopologyError(
                     f"self-loop on node {pos!r} is not allowed")
-            # Sort + dedup through a scalar key: one int64 sort instead of
-            # a slow structured-dtype row unique.
-            keys = np.unique(lo * n + hi)
+            # Sort + dedup through a scalar key: one int64 sort (cheaper
+            # than np.unique's hashing, and than a structured row unique).
+            keys = np.sort(lo * n + hi)
+            keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
             lo, hi = keys // n, keys % n
-            graph._bulk_merge(lo, hi, None if identity else ids)
         else:
             lo = hi = np.empty(0, dtype=np.int64)
+        graph = cls()
+        graph._adj_map = None
         graph._csr = CSRAdjacency.from_pairs(lo, hi, ids)
         return graph
 
@@ -215,14 +229,8 @@ class Graph:
         is materialized lazily on first dict-shaped access, so a
         10^6-node build stays within a few hundred MB.
         """
-        if isinstance(node_ids, (int, np.integer)):
-            n = int(node_ids)
-            ids = range(n)
-        else:
-            ids = list(node_ids)
-            n = len(ids)
-            if len(set(ids)) != n:
-                raise TopologyError("node identifiers must be unique")
+        ids = _node_ids(node_ids)
+        n = len(ids)
         if n >= 2**31:
             raise TopologyError("chunked construction is limited to int32 rows")
         lo_parts = []
@@ -264,35 +272,6 @@ class Graph:
         graph._adj_map = None
         graph._csr = CSRAdjacency.from_pairs(lo, hi, ids)
         return graph
-
-    def _bulk_merge(self, lo, hi, to_id):
-        """Merge canonical pairs into the adjacency sets, one node at a time.
-
-        ``lo`` / ``hi`` hold node identifiers directly when ``to_id`` is
-        ``None``, else positions translated through the ``to_id`` sequence.
-        Callers pass the pairs in (lo, hi) lexicographic order; each set
-        then receives its neighbors smaller-endpoint-first in pair order
-        -- the same insertion sequence a pair-by-pair ``add_edge`` loop
-        over those sorted pairs would produce, which keeps iteration
-        order (and everything downstream of it) identical to the
-        incremental path.
-        """
-        src = np.concatenate((hi, lo))
-        dst = np.concatenate((lo, hi))
-        order = np.argsort(src, kind="stable")
-        src = src[order]
-        dst = dst[order]
-        starts = np.flatnonzero(np.r_[True, src[1:] != src[:-1]])
-        ends = np.r_[starts[1:], src.size]
-        owners = src[starts].tolist()
-        dst_list = dst.tolist()
-        adj = self._adj
-        for owner, s, e in zip(owners, starts.tolist(), ends.tolist()):
-            if to_id is None:
-                adj[owner].update(dst_list[s:e])
-            else:
-                adj[to_id[owner]].update(to_id[x] for x in dst_list[s:e])
-        self._csr = None
 
     def remove_edge(self, u, v):
         """Remove the undirected edge ``{u, v}``; missing edges are errors."""
@@ -453,8 +432,8 @@ class Graph:
 
         Built from the current adjacency on first call and cached; any
         mutation (node or edge, incremental or bulk) invalidates the cache
-        so the next call rebuilds.  Graphs built by :meth:`from_pair_array`
-        carry their snapshot from construction.
+        so the next call rebuilds.  Bulk-built graphs carry their snapshot
+        from construction.
         """
         if self._csr is None:
             self._csr = CSRAdjacency.from_dict(self._adj)
@@ -589,6 +568,17 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={len(self)}, m={self.edge_count()})"
+
+
+def _node_ids(node_ids):
+    """Position -> identifier sequence of a bulk build: ``range(n)`` for
+    a node count, else the (checked unique) identifier list."""
+    if isinstance(node_ids, (int, np.integer)):
+        return range(int(node_ids))
+    ids = list(node_ids)
+    if len(set(ids)) != len(ids):
+        raise TopologyError("node identifiers must be unique")
+    return ids
 
 
 def _shm_handle(graph):

@@ -1,21 +1,30 @@
 """Tests for Definition 1's density metric, including Table 1 exactness."""
 
+import pickle
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.graph.csr as csr_module
 from repro.clustering.density import (
     ISOLATED_DENSITY,
+    ExactDensities,
     all_densities,
     density,
     density_bounds,
     edges_among,
 )
+from repro.clustering.oracle import compute_clustering
 from repro.experiments.paper_values import TABLE1
 from repro.graph.generators import (
     complete_topology,
     line_topology,
     star_topology,
+    uniform_topology,
 )
 from repro.graph.graph import Graph
 from repro.util.errors import TopologyError
@@ -97,6 +106,75 @@ class TestAllDensities:
         bulk = all_densities(graph)
         assert bulk[1] == ISOLATED_DENSITY
         assert bulk[3] == 1.0
+
+
+class TestExactDensities:
+    def lazy_graph(self):
+        pairs = np.array([[0, 1], [0, 2], [1, 2], [2, 3]])
+        return Graph.from_pair_array(pairs, [10, 11, 12, 13, 14])
+
+    def test_is_a_read_only_mapping_over_snapshot_order(self):
+        graph = self.lazy_graph()
+        densities = all_densities(graph, exact=True)
+        assert isinstance(densities, ExactDensities)
+        assert list(densities) == [10, 11, 12, 13, 14]
+        assert densities[12] == Fraction(4, 3)
+        assert densities[14] == Fraction(0)
+        assert 14 in densities and 99 not in densities
+        with pytest.raises(KeyError):
+            densities[99]
+        with pytest.raises((AttributeError, TypeError)):
+            densities[10] = Fraction(1)
+        assert graph._adj_map is None
+
+    def test_equals_the_plain_dict(self):
+        graph = self.lazy_graph()
+        densities = all_densities(graph, exact=True)
+        plain = {10: Fraction(3, 2), 11: Fraction(3, 2), 12: Fraction(4, 3),
+                 13: Fraction(1), 14: Fraction(0)}
+        assert densities == plain
+        assert plain == densities
+        assert densities != {**plain, 13: Fraction(2)}
+
+    def test_pickles_as_arrays(self):
+        densities = all_densities(self.lazy_graph(), exact=True)
+        payload = pickle.dumps(densities)
+        assert b"Fraction" not in payload
+        restored = pickle.loads(payload)
+        assert isinstance(restored, ExactDensities)
+        assert restored.snapshot is None
+        assert list(restored.items()) == list(densities.items())
+        assert restored.float_image().tolist() == \
+            densities.float_image().tolist()
+
+    def test_clustering_holding_the_mapping_pickles(self):
+        graph = uniform_topology(60, 0.25, rng=3).graph
+        densities = all_densities(graph, exact=True)
+        clustering = compute_clustering(graph, densities=densities)
+        assert clustering.densities is densities  # kept, not copied
+        restored = pickle.loads(pickle.dumps(clustering))
+        assert isinstance(restored.densities, ExactDensities)
+        assert restored.densities == densities
+        assert restored.parents == clustering.parents
+        assert restored.heads == clustering.heads
+
+
+def triangles_reference(graph):
+    return [sum(1 for a, b in combinations(sorted(graph.neighbors(node)), 2)
+                if graph.has_edge(a, b))
+            for node in graph.nodes]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 150), radius=st.floats(0.05, 0.5),
+       seed=st.integers(0, 2**32 - 1), chunk=st.integers(1, 9))
+def test_triangle_chunks_straddle_edges(n, radius, seed, chunk):
+    """A tiny candidate budget splits edges' candidates across chunks."""
+    graph = uniform_topology(n, radius, rng=seed).graph
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(csr_module, "_TRIANGLE_CHUNK", chunk)
+        counts = graph.to_csr().triangle_counts()
+    assert counts.tolist() == triangles_reference(graph)
 
 
 class TestEdgesAmong:

@@ -1,5 +1,8 @@
 """Tests for the Clustering result object and its metrics."""
 
+import re
+
+import numpy as np
 import pytest
 
 from repro.clustering.result import Clustering
@@ -47,6 +50,28 @@ class TestConstruction:
         graph = line_topology(3).graph
         with pytest.raises(TopologyError):
             Clustering(graph, {0: 0, 1: 0})
+
+    @pytest.mark.parametrize("parents, message", [
+        ({0: 2, 1: 1, 2: 2}, "parent of 0 is 2, which is not a neighbor"),
+        ({0: 0, 1: 9, 2: 2}, "parent of 1 is 9, which is not a neighbor"),
+        ({0: 0, 1: 0}, "parents must cover exactly the graph's nodes"),
+        ({0: 0, 1: 0, 2: 2, 5: 5},
+         "parents must cover exactly the graph's nodes"),
+    ])
+    def test_validation_messages_match_on_both_graph_kinds(self, parents,
+                                                           message):
+        """A CSR-only graph and a dict-backed one reject alike."""
+        lazy = Graph.from_pair_array(np.array([[0, 1], [1, 2]]), 3)
+        eager = Graph(nodes=range(3), edges=[(0, 1), (1, 2)])
+        for graph in (lazy, eager):
+            with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
+                Clustering(graph, parents)
+        assert lazy._adj_map is None
+
+    def test_first_offender_in_parents_order_is_named(self):
+        graph = Graph.from_pair_array(np.array([[0, 1], [2, 3]]), 4)
+        with pytest.raises(TopologyError, match="^parent of 3 is 0,"):
+            Clustering(graph, {3: 0, 1: 1, 0: 1, 2: 0})
 
     def test_cycle_detection(self):
         graph = Graph(edges=[(0, 1), (1, 2), (2, 0)])

@@ -18,6 +18,12 @@ default; run it with ``pytest -m slow``).  On each graph:
 * ``route_batch`` over every ordered pair of ``build_hierarchy`` equals
   the per-request routing oracle.
 
+:func:`test_densities_match_oracle` builds each graph two ways -- CSR-only
+through ``Graph.from_pair_array`` and dict-backed through ``Graph(nodes,
+edges)`` -- and checks triangle counts, the exact density mapping (order
+and ``Fraction`` type included) and its float image against the per-edge
+density oracle.
+
 :func:`test_renaming_matches_oracle` checks the array renaming against
 the per-node naming oracle on the same graphs (both variants, a tight
 ``γ = δ+2`` and the ``δ²`` space, fresh draws and corrupted
@@ -26,6 +32,7 @@ generator state.  A hypothesis test repeats it on larger unit-disk
 graphs.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -54,6 +61,7 @@ from tests.oracles.baselines import (
     lowest_id_clustering_reference,
     maxmin_clustering_reference,
 )
+from tests.oracles.density import all_densities_reference
 from tests.oracles.election import (
     clustering_from_keys_reference,
     compute_clustering_reference,
@@ -170,6 +178,38 @@ def test_every_graph_on_six_nodes():
         check_graph(6, mask, graph)
         count += 1
     assert count == 32_768
+
+
+def triangles_reference(graph):
+    """Edges among each node's neighbors, pair by pair."""
+    return [sum(1 for a, b in combinations(sorted(graph.neighbors(node)), 2)
+                if graph.has_edge(a, b))
+            for node in graph.nodes]
+
+
+def check_densities(graph):
+    csr = graph.to_csr()
+    assert csr.triangle_counts().tolist() == triangles_reference(graph)
+    densities = all_densities(graph, exact=True)
+    items = list(densities.items())
+    assert items == list(all_densities_reference(graph, exact=True).items())
+    assert all(type(value) is Fraction for _node, value in items)
+    assert densities.float_image().tolist() == [
+        float(value) for _node, value in items]
+
+
+def test_densities_match_oracle():
+    count = 0
+    for n in range(1, 6):
+        for _mask, graph in labeled_graphs(n):
+            pairs = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
+            lazy = Graph.from_pair_array(pairs, n)
+            dict(all_densities(lazy, exact=True))
+            assert lazy._adj_map is None  # the oracles below materialize it
+            for built in (lazy, graph):
+                check_densities(built)
+            count += 1
+    assert count == 1_099
 
 
 def _outcome(run, seed):
